@@ -219,4 +219,13 @@ grep -F '"breakers_closed": true' BENCH_soak.json > /dev/null || {
     exit 1
 }
 
+# Benchmark pins: the xbench suite (its own workspace, built against
+# the workspace crates' public API) runs every workload briefly and
+# checks the exact counters in xbench/pins.json — 1,440,804 / 1,387,556
+# / 190,138 cycles, 740,148 on net_mobilenet, loadgen digest
+# 82bb53c17b27c9db — so drift in any pinned value, or a broken public
+# path the suite imports, fails here.
+echo "==> xbench pins (six workloads, exact counters)"
+cargo test --release --locked --manifest-path xbench/Cargo.toml
+
 echo "==> ci: all green"

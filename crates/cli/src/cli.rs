@@ -72,9 +72,11 @@ usage:
       --vector mixes the Xrvv vector instructions into the generated
       stream and lock-steps the vector unit too (registers, vl and
       SEW compared before every step, both cores at VLEN 128);
-      --fastpath instead lock-steps the decoded-block fast path
-      against the interpreter (PC, registers and perf counters compared
-      every step) over the same corpus, shrinking any divergence;
+      --fastpath instead lock-steps cached against uncached
+      translation (PC, registers and perf counters compared every
+      step) over the same corpus, then replays each case through the
+      batched run() against the per-op result, shrinking any
+      divergence;
       --crossval instead cross-validates the static analyzer: every
       generated program is linted and then executed with a dynamic
       uninit/out-of-bounds oracle (lint-clean programs must run

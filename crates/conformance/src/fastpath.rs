@@ -2,23 +2,28 @@
 //!
 //! [`diff`](crate::diff) pits `riscv-core` against an independent
 //! reference interpreter; this module pits `riscv-core` against
-//! *itself*: the same fuzzer corpus runs on an interpreter-only core
-//! and on a fast-path-enabled core over identical memory images, with
-//! PC, registers and perf counters compared before every step and the
-//! full memory image at the halt. The fast path shares the execution
-//! routine with the interpreter by construction, so the only code this
-//! suite can catch is the part that differs — block formation, cache
-//! lookup, invalidation, and the fallback decisions. That is exactly
-//! the part that needs an oracle.
+//! *itself*. Every retire executes the same specialized op through the
+//! same routine, so what can differ between the core's modes is how
+//! that op is obtained and how it is retired — and this suite compares
+//! exactly those:
 //!
-//! Per-step lockstep alone never enters the *batched* block-replay
-//! engine ([`Core::run`]'s burst executor) — stepping resolves one op
-//! at a time. So every case that reaches agreement is replayed a third
-//! time, whole-program through `run()`, and the final registers, perf
-//! counters and memory image are held to the interpreter's. Halting
-//! replays get a cycle budget of *exactly* the interpreter's final
-//! cycle count, which additionally pins the watchdog boundary: a fast
-//! path that over- or under-charges even one cycle trips the budget.
+//! * **Cached vs uncached translation.** The same fuzzer corpus runs on
+//!   a core that decodes every step afresh and on a fast-path core that
+//!   steps from its decoded-block cache, over identical memory images,
+//!   with PC, registers and perf counters compared before every step
+//!   and the full memory image at the halt. This pins block formation,
+//!   cache lookup, invalidation and trap surfacing.
+//! * **Batched vs per-op retire.** Stepping retires one op at a time
+//!   and never enters [`Core::run`]'s burst executor, so every case
+//!   that reaches agreement is replayed a third time, whole-program
+//!   through `run()`, and the final registers, perf counters and
+//!   memory image are held to the per-op run's. Halting replays get a
+//!   cycle budget of *exactly* the per-op final cycle count, which
+//!   additionally pins the watchdog boundary: a burst that over- or
+//!   under-charges even one cycle trips the budget.
+//!
+//! The semantics themselves are checked against the reference
+//! interpreter by [`diff`](crate::diff).
 //!
 //! Divergences feed the same ddmin shrinker as the reference diff
 //! (via [`shrink_with`]) and print a `--fastpath` replay command.

@@ -7,6 +7,7 @@
 //! build carries no serde, and the records are small flat structures.
 
 use crate::measure::{measure, Error};
+use crate::report::escape_json;
 use pulp_cluster::{ClusterConvTestbench, ClusterError};
 use pulp_kernels::{ConvKernelConfig, ConvTestbench, KernelIsa};
 use qnn::BitWidth;
@@ -145,8 +146,11 @@ impl BenchRecord {
     /// Serializes the record as a self-contained JSON object.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
-        s.push_str(&format!("  \"label\": \"{}\",\n", escape(&self.label)));
-        s.push_str(&format!("  \"kernel\": \"{}\",\n", escape(&self.kernel)));
+        s.push_str(&format!("  \"label\": \"{}\",\n", escape_json(&self.label)));
+        s.push_str(&format!(
+            "  \"kernel\": \"{}\",\n",
+            escape_json(&self.kernel)
+        ));
         s.push_str(&format!("  \"cores\": {},\n", self.cores));
         s.push_str(&format!("  \"cycles\": {},\n", self.cycles));
         s.push_str(&format!("  \"macs\": {},\n", self.macs));
@@ -158,7 +162,7 @@ impl BenchRecord {
         for (i, (name, cycles)) in self.breakdown.iter().enumerate() {
             s.push_str(&format!(
                 "    \"{}\": {}{}\n",
-                escape(name),
+                escape_json(name),
                 cycles,
                 if i + 1 < self.breakdown.len() {
                     ","
@@ -242,7 +246,7 @@ impl HostThroughputRecord {
              \"speedup\": {:.2},\n  \"block_cache_hit_rate\": {:.6},\n  \
              \"block_cache_misses\": {},\n  \"blocks_translated\": {},\n  \
              \"interp_fallbacks\": {},\n  \"invalidations\": {}\n}}",
-            escape(&self.kernel),
+            escape_json(&self.kernel),
             self.cycles,
             self.instret,
             self.interp_secs,
@@ -443,18 +447,6 @@ impl SoakRecord {
         s.push_str(&format!("  \"wall_secs\": {:.6}\n}}", r.wall_secs));
         s
     }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// The benchmark suite `xpulpnn bench` runs: the paper's Fig. 8 4-bit

@@ -11,12 +11,12 @@
 //!
 //! An always-on inference deployment cannot crash because one kernel
 //! invocation misbehaved. [`Network::run`] therefore never propagates a
-//! raw [`Trap`]: every layer executes under a watchdog cycle budget,
-//! failures (trap, watchdog, or output/golden divergence) trigger a
-//! bounded rollback-retry from the layer's pre-fault checkpoint, and if
-//! retries are exhausted the layer falls back to its golden software
-//! model so inference still completes — with the degradation recorded
-//! in the per-layer [`LayerOutcome`]. [`Network::run_with_policy`] can
+//! raw [`Trap`](riscv_core::Trap): every layer executes under a
+//! watchdog cycle budget, failures (trap, watchdog, or output/golden
+//! divergence) trigger a bounded rollback-retry from the layer's
+//! pre-fault checkpoint, and if retries are exhausted the layer falls
+//! back to its golden software model so inference still completes —
+//! with the degradation recorded in the per-layer [`LayerOutcome`]. [`Network::run_with_policy`] can
 //! additionally arm seeded transient-fault injection
 //! ([`faultsim::FaultPlan`]) to exercise exactly these paths.
 //!
@@ -57,7 +57,6 @@ use qnn::pool::PoolShape;
 use qnn::rng::TensorRng;
 use qnn::tensor::QuantTensor;
 use qnn::BitWidth;
-use riscv_core::Trap;
 use std::fmt;
 
 /// One layer of a network description.
@@ -237,75 +236,10 @@ impl fmt::Display for NetworkError {
 
 impl std::error::Error for NetworkError {}
 
-/// How a layer failure was noticed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultDetection {
-    /// The core trapped (bus error, illegal instruction, watchdog, ...).
-    Trap(Trap),
-    /// The run halted but its output diverged from the golden model.
-    Sdc,
-}
-
-impl fmt::Display for FaultDetection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultDetection::Trap(t) => write!(f, "trap: {t}"),
-            FaultDetection::Sdc => f.write_str("silent data corruption vs golden model"),
-        }
-    }
-}
-
-/// What happened to one layer under the run policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayerOutcome {
-    /// Clean first-attempt run, output verified against the golden
-    /// model, no faults injected.
-    Ok,
-    /// Faults were injected but the verified output is still correct —
-    /// the flips were architecturally masked.
-    Masked {
-        /// Bit flips applied.
-        flips: usize,
-    },
-    /// A failure was detected and a rollback-retry from the pre-fault
-    /// checkpoint produced a verified output.
-    Recovered {
-        /// How the failure was noticed.
-        detection: FaultDetection,
-        /// Retries spent (1-based; bounded by
-        /// [`RunPolicy::max_retries`]).
-        retries: u32,
-    },
-    /// Retries were exhausted (or disabled); the layer's output is the
-    /// golden software model's, computed on the host.
-    Degraded {
-        /// How the failure was noticed.
-        detection: FaultDetection,
-    },
-}
-
-impl LayerOutcome {
-    /// True when the device produced the layer's output (possibly after
-    /// retries); false when the golden fallback did.
-    pub fn device_output(&self) -> bool {
-        !matches!(self, LayerOutcome::Degraded { .. })
-    }
-}
-
-impl fmt::Display for LayerOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LayerOutcome::Ok => f.write_str("ok"),
-            LayerOutcome::Masked { flips } => write!(f, "masked ({flips} flips)"),
-            LayerOutcome::Recovered { detection, retries } => {
-                write!(f, "recovered after {retries} retry(s) [{detection}]")
-            }
-            LayerOutcome::Degraded { detection } => {
-                write!(f, "degraded to golden fallback [{detection}]")
-            }
-        }
-    }
-}
+/// How a layer failure was noticed, and what happened to one layer
+/// under the run policy: the shared outcome ladder of every recovering
+/// run ([`faultsim::Outcome`]), under this module's names.
+pub use faultsim::{Detection as FaultDetection, Outcome as LayerOutcome};
 
 /// Seeded fault arming for [`Network::run_with_policy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -393,7 +327,7 @@ impl NetworkRun {
     pub fn degraded_layers(&self) -> usize {
         self.layers
             .iter()
-            .filter(|l| !l.outcome.device_output())
+            .filter(|l| !l.outcome.device_served())
             .count()
     }
 
@@ -782,6 +716,7 @@ fn run_layer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use riscv_core::Trap;
 
     fn small_conv() -> Layer {
         Layer::conv(

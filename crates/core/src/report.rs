@@ -58,7 +58,9 @@ impl HotspotProfile {
     }
 }
 
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal (the hand-emitted
+/// JSON of the profile and the `bench` records).
+pub(crate) fn escape_json(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
             '"' => vec!['\\', '"'],

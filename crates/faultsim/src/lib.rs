@@ -18,6 +18,9 @@
 //!   `disarmed_runs_cost_nothing` test to the exact Fig. 8 cycle count;
 //! * [`campaign`] — AVF campaigns over the eight-kernel convolution
 //!   matrix, classifying every flip as detected / masked / SDC;
+//! * [`Outcome`] / [`Detection`] — the ok/masked/recovered/degraded
+//!   ladder every recovering run (network layer, served request)
+//!   reports;
 //! * [`replay`] — re-derives any trial from its seed, restores the
 //!   pre-fault checkpoint, and lock-steps faulted-vs-clean execution
 //!   (via [`conformance::lockstep`]) to pinpoint the first
@@ -29,6 +32,7 @@
 pub mod campaign;
 pub mod cluster;
 pub mod exec;
+mod outcome;
 pub mod plan;
 pub mod replay;
 pub mod template;
@@ -39,6 +43,7 @@ pub use cluster::{
     ClusterCampaignReport, ClusterInjection,
 };
 pub use exec::{run_armed, ArmConfig, ArmedRun, InjectionRecord};
+pub use outcome::{Detection, Outcome};
 pub use plan::{FaultDomain, FaultEvent, FaultPlan, FaultTarget, MemRegion, TargetSpace};
 pub use replay::{replay, ReplayReport};
 pub use template::TemplateStrike;

@@ -2,7 +2,7 @@
 //! the pipeline timing rules of [`crate::timing`].
 
 use crate::bus::{Bus, BusError};
-use crate::fastpath::{BlockCache, DotOp2, FastBug, FastPathStats, Op, USpec};
+use crate::fastpath::{with_spec, BlockCache, DotOp2, FastBug, FastPathStats, Op, USpec};
 use crate::perf::{fmt_index, CycleClass, PerfCounters};
 use crate::quant;
 use crate::timing;
@@ -177,6 +177,20 @@ struct HwLoop {
     start: u32,
     end: u32,
     count: u32,
+}
+
+/// How a burst-eligible op retired ([`Core::exec_burst`]): selects
+/// the counter and the one-cycle ledger class its retire books.
+#[derive(Clone, Copy)]
+enum Retired {
+    Alu,
+    Load,
+    /// The bytes written, for the self-modifying-code check.
+    Store {
+        addr: u32,
+        size: u32,
+    },
+    Dot(SimdFmt),
 }
 
 /// Exit disposition of a [`Core::seg_burst`] run. On either variant
@@ -487,7 +501,10 @@ impl Core {
         self.csrs.insert(num, value);
     }
 
-    fn mem_read<B: Bus>(&mut self, bus: &mut B, addr: u32, size: u32) -> Result<u32, Trap> {
+    /// Charges the stall of an access that crosses a word boundary
+    /// (RI5CY splits it into two bus transactions).
+    #[inline(always)]
+    fn charge_misalign(&mut self, addr: u32, size: u32) {
         if timing::crosses_word_boundary(addr, size) {
             self.perf.cycles += timing::MISALIGN_PENALTY;
             self.perf.stall_cycles += timing::MISALIGN_PENALTY;
@@ -495,33 +512,36 @@ impl Core {
                 .ledger
                 .charge(CycleClass::MisalignStall, timing::MISALIGN_PENALTY);
         }
-        self.perf.loads += 1;
-        bus.read(addr, size)
-            .map_err(|error| Trap::Bus { pc: self.pc, error })
     }
 
-    fn mem_write<B: Bus>(
+    /// The data read of a load retiring at `pc`, misalign stall
+    /// included. A load that completes is counted at its retire; a bus
+    /// fault counts the faulting load here and becomes the trap, the
+    /// partial-op state every path leaves behind.
+    #[inline(always)]
+    fn load<B: Bus>(&mut self, bus: &mut B, pc: u32, addr: u32, size: u32) -> Result<u32, Trap> {
+        self.charge_misalign(addr, size);
+        bus.read(addr, size).map_err(|error| {
+            self.perf.loads += 1;
+            Trap::Bus { pc, error }
+        })
+    }
+
+    /// The data write of a store retiring at `pc`, counted like a load.
+    #[inline(always)]
+    fn store<B: Bus>(
         &mut self,
         bus: &mut B,
+        pc: u32,
         addr: u32,
         size: u32,
         value: u32,
     ) -> Result<(), Trap> {
-        if timing::crosses_word_boundary(addr, size) {
-            self.perf.cycles += timing::MISALIGN_PENALTY;
-            self.perf.stall_cycles += timing::MISALIGN_PENALTY;
-            self.perf
-                .ledger
-                .charge(CycleClass::MisalignStall, timing::MISALIGN_PENALTY);
-        }
-        self.perf.stores += 1;
-        bus.write(addr, size, value)
-            .map_err(|error| Trap::Bus { pc: self.pc, error })
-    }
-
-    fn load_value<B: Bus>(&mut self, bus: &mut B, kind: LoadKind, addr: u32) -> Result<u32, Trap> {
-        let raw = self.mem_read(bus, addr, kind.size())?;
-        Ok(extend_load(kind, raw))
+        self.charge_misalign(addr, size);
+        bus.write(addr, size, value).map_err(|error| {
+            self.perf.stores += 1;
+            Trap::Bus { pc, error }
+        })
     }
 
     /// Resolves the second operand of a SIMD instruction.
@@ -533,26 +553,17 @@ impl Core {
         }
     }
 
-    fn check_extension(&self, instr: &Instr) -> Result<(), Trap> {
-        if instr.requires_rvv() && !self.isa.rvv {
-            return Err(Trap::ExtensionFault {
-                pc: self.pc,
-                required: "xrvv",
-            });
-        }
-        if instr.requires_xpulpnn() && !self.isa.xpulpnn {
-            return Err(Trap::ExtensionFault {
-                pc: self.pc,
-                required: "xpulpnn",
-            });
-        }
-        if instr.requires_xpulpv2() && !self.isa.xpulpv2 {
-            return Err(Trap::ExtensionFault {
-                pc: self.pc,
-                required: "xpulpv2",
-            });
-        }
-        Ok(())
+    fn check_extension(&self, instr: &Instr, pc: u32) -> Result<(), Trap> {
+        let required = if instr.requires_rvv() && !self.isa.rvv {
+            "xrvv"
+        } else if instr.requires_xpulpnn() && !self.isa.xpulpnn {
+            "xpulpnn"
+        } else if instr.requires_xpulpv2() && !self.isa.xpulpv2 {
+            "xpulpv2"
+        } else {
+            return Ok(());
+        };
+        Err(Trap::ExtensionFault { pc, required })
     }
 
     /// Applies the zero-overhead hardware-loop rule: when the retiring
@@ -575,7 +586,7 @@ impl Core {
     }
 
     /// Fetches and decodes the instruction at the current PC without
-    /// executing it (used by [`Core::step`] and the trace facility).
+    /// executing it (used by [`Core::run_traced`]).
     ///
     /// # Errors
     ///
@@ -585,7 +596,8 @@ impl Core {
     }
 
     /// Fetches and decodes the instruction at an arbitrary PC without
-    /// executing it (the block translator walks code regions with this).
+    /// executing it (every step and the block translator decode with
+    /// this).
     ///
     /// # Errors
     ///
@@ -609,6 +621,19 @@ impl Core {
         }
     }
 
+    /// Fetches, decodes and extension-checks the instruction at `pc`:
+    /// the interpreter's per-step decode and the block translator's.
+    #[inline(always)]
+    pub(crate) fn decode_checked<B: Bus>(
+        &self,
+        bus: &mut B,
+        pc: u32,
+    ) -> Result<(Instr, u32), Trap> {
+        let (instr, ilen) = self.fetch_decode_at(bus, pc)?;
+        self.check_extension(&instr, pc)?;
+        Ok((instr, ilen))
+    }
+
     /// Executes one instruction.
     ///
     /// Returns `Ok(true)` if the instruction was `ecall` (the halt
@@ -617,65 +642,66 @@ impl Core {
     /// When the fast path is enabled and no tracer is attached, the
     /// instruction comes from the decoded-block cache instead of a
     /// fetch+decode; architectural effects and cycle accounting are
-    /// identical either way because both paths share
-    /// [`Core::exec_decoded`].
+    /// identical either way because both run the same specialized op
+    /// through the same execution routine.
     ///
     /// # Errors
     ///
     /// Any [`Trap`]: illegal/unimplemented instructions, bus faults, or
     /// `ebreak`.
     pub fn step<B: Bus>(&mut self, bus: &mut B) -> Result<bool, Trap> {
-        if self.fastpath.is_some() && self.tracer.is_none() {
-            let mut fp = self.fastpath.take().expect("fastpath present");
-            let r = self.fast_step_with(bus, &mut fp);
-            self.fastpath = Some(fp);
-            return r;
-        }
-        self.step_interp(bus)
+        let mut fp = self.fastpath.take();
+        let r = self.step_with(bus, fp.as_deref_mut());
+        self.fastpath = fp;
+        r
     }
 
-    /// One pure-interpreter step: fetch, decode, check, execute.
-    fn step_interp<B: Bus>(&mut self, bus: &mut B) -> Result<bool, Trap> {
-        let (instr, ilen) = self.fetch_decode(bus)?;
-        self.check_extension(&instr)?;
-        self.exec_decoded(bus, instr, ilen)
-    }
-
-    /// One fast-path step against a (temporarily detached) block cache.
-    ///
-    /// Falls back to a single interpreted step when no block can be
-    /// formed at the current PC — that is how fetch/decode/extension
-    /// traps surface with exactly the interpreter's PC and state.
-    fn fast_step_with<B: Bus>(&mut self, bus: &mut B, fp: &mut BlockCache) -> Result<bool, Trap> {
-        if fp.isa() != self.isa {
-            fp.reconfigure(self.isa);
-        }
-        let Some(op) = fp.next_op(self, bus) else {
-            return self.step_interp(bus);
-        };
-        // Self-modifying-code detection and cache flushing live inside
-        // `exec_spec` (the store executes normally — its decoded form
-        // predates the overwrite — then every cached block is dropped
-        // so the next instruction is re-fetched).
-        let (halted, _flushed) = self.exec_spec(bus, fp, &op)?;
-        if fp.bug == FastBug::SquashRedirects {
-            let seq = op.pc.wrapping_add(op.ilen);
-            if !halted && self.pc != seq {
-                self.pc = seq;
+    /// One retire against a (temporarily detached) block cache, if the
+    /// fast path is enabled: the op comes from the cache unless a
+    /// tracer is attached, else from a fresh decode, and is traced.
+    /// Either way a store into fetched code flushes the cache.
+    fn step_with<B: Bus>(
+        &mut self,
+        bus: &mut B,
+        mut fp: Option<&mut BlockCache>,
+    ) -> Result<bool, Trap> {
+        if let Some(fp) = fp.as_deref_mut().filter(|_| self.tracer.is_none()) {
+            let (block, idx, fresh) = fp.current_run(self, bus)?;
+            fp.stats.hits += u64::from(!fresh);
+            let op = block.ops[idx];
+            fp.resume_at(block, idx + 1);
+            let squash = fp.bug == FastBug::SquashRedirects;
+            let (halted, _) = self.exec_spec(bus, Some(fp), &op)?;
+            if squash && !halted {
+                self.pc = op.pc.wrapping_add(op.ilen);
             }
+            return Ok(halted);
+        }
+        let pc = self.pc;
+        let (instr, ilen) = self.decode_checked(bus, pc)?;
+        let cycles_at_entry = self.perf.cycles;
+        let (halted, _) = with_spec!(instr, |spec| {
+            self.exec_spec(
+                bus,
+                fp,
+                &Op {
+                    pc,
+                    ilen,
+                    instr,
+                    spec,
+                },
+            )
+        })?;
+        if let Some(t) = &mut self.tracer {
+            t.record(pc, instr, self.perf.cycles - cycles_at_entry);
         }
         Ok(halted)
     }
 
-    /// The effective address and size of a store, or `None` for
-    /// non-store instructions (the fast path's self-modifying-code
-    /// check).
+    /// The effective address and size of a `Generic` store, or `None`
+    /// for every other instruction (the self-modifying-code check).
     fn store_target(&self, instr: &Instr) -> Option<(u32, u32)> {
         match *instr {
-            Instr::Store {
-                kind, rs1, offset, ..
-            } => Some((self.reg(rs1).wrapping_add(offset as u32), kind.size())),
-            Instr::StorePostInc { kind, rs1, .. } => Some((self.reg(rs1), kind.size())),
             Instr::StorePostIncReg { kind, rs1, .. } => Some((self.reg(rs1), kind.size())),
             // Vector stores report a conservative superset of the bytes
             // touched (SMC flushing must never under-approximate): the
@@ -693,181 +719,56 @@ impl Core {
         }
     }
 
-    /// Shared retire sequence of a specialized op that is *not* an
-    /// explicit jump: hardware-loop rule, cycle/ledger charge, PC
-    /// advance — the exact tail of [`Core::exec_decoded`]. (The fast
-    /// path never runs with a tracer attached, so no trace record.)
+    /// Retire sequence of a specialized op that is *not* an explicit
+    /// jump: hardware-loop rule, cycle/ledger charge, PC advance — the
+    /// same tail as [`Core::exec_decoded`].
     #[inline]
-    fn retire_fast(&mut self, pc: u32, ilen: u32, class: CycleClass, cycles: u64) {
+    fn retire(&mut self, pc: u32, ilen: u32, class: CycleClass, cycles: u64) {
         let next_pc = self.hwloop_next_pc(pc, ilen, pc.wrapping_add(ilen));
         self.perf.cycles += cycles;
         self.perf.ledger.charge(class, cycles);
         debug_assert_eq!(
             self.perf.cycles,
             self.perf.ledger.total(),
-            "cycle ledger out of balance at fast retire @ {pc:#010x}"
+            "cycle ledger out of balance at retire @ {pc:#010x}"
         );
         self.pc = next_pc;
     }
 
-    /// Executes one pre-specialized op (see `fastpath::USpec`): the
-    /// translate-time-resolved twin of [`Core::exec_decoded`] for the
-    /// profiled hot instruction shapes. Every arm replicates the
-    /// interpreter's side-effect order exactly — `instret` before the
-    /// body, misalign charge before the load/store counter bump before
-    /// the bus access (so a trapping access leaves identical partial
-    /// state), hardware-loop check only on non-jump retires.
+    /// Executes one op at the current PC (`op.pc == self.pc`): the
+    /// per-op retire every step takes, interpreted or cached. Burst
+    /// shapes run their one body ([`Core::exec_burst`]) and retire
+    /// here; branches and `jal` are executed inline; everything else
+    /// goes through [`Core::exec_decoded`]. Side effects match on
+    /// every path: `instret` counts the op before its body, a faulting
+    /// access leaves the misalign charge and its load/store count but
+    /// no retire, and only non-jump retires take the hardware-loop
+    /// rule.
     ///
-    /// Store arms additionally perform the self-modifying-code check
-    /// against `fp` and flush the cache after a store into fetched
-    /// code. Returns `(halted, flushed)`; a flush means any block the
-    /// caller is replaying is stale and must be re-resolved.
+    /// With a block cache `fp`, a store into fetched code flushes it
+    /// after the store retires. Returns `(halted, flushed)`; a flush
+    /// means any block the caller is replaying is stale and must be
+    /// re-resolved.
     ///
     /// # Errors
     ///
-    /// Bus faults, with the interpreter's exact trap PC and state.
+    /// Any [`Trap`] of the op, with the op's PC.
     #[inline(always)]
     fn exec_spec<B: Bus>(
         &mut self,
         bus: &mut B,
-        fp: &mut BlockCache,
+        fp: Option<&mut BlockCache>,
         op: &Op,
     ) -> Result<(bool, bool), Trap> {
-        let pc = self.pc;
-        let ilen = op.ilen;
-        match op.spec {
+        let (pc, ilen) = (op.pc, op.ilen);
+        // The bytes a store wrote, for the self-modifying-code check.
+        let mut stored = None;
+        let halted = match op.spec {
             USpec::Generic => {
-                let smc = match self.store_target(&op.instr) {
-                    Some((addr, size)) => fp.covers_code(addr, size),
-                    None => false,
-                };
-                let halted = self.exec_decoded(bus, op.instr, op.ilen)?;
-                if smc {
-                    fp.flush();
+                if fp.is_some() {
+                    stored = self.store_target(&op.instr);
                 }
-                return Ok((halted, smc));
-            }
-            USpec::Lui { rd, imm } => {
-                self.perf.instret += 1;
-                self.set_reg(rd, imm);
-                self.retire_fast(pc, ilen, CycleClass::Alu, timing::ALU_CYCLES);
-            }
-            USpec::Auipc { rd, imm } => {
-                self.perf.instret += 1;
-                self.set_reg(rd, pc.wrapping_add(imm));
-                self.retire_fast(pc, ilen, CycleClass::Alu, timing::ALU_CYCLES);
-            }
-            USpec::Alu { op, rd, rs1, rs2 } => {
-                self.perf.instret += 1;
-                let v = op.eval(self.reg(rs1), self.reg(rs2));
-                self.set_reg(rd, v);
-                self.retire_fast(pc, ilen, CycleClass::Alu, timing::ALU_CYCLES);
-            }
-            USpec::AluImm { op, rd, rs1, imm } => {
-                self.perf.instret += 1;
-                let v = op.eval(self.reg(rs1), imm);
-                self.set_reg(rd, v);
-                self.retire_fast(pc, ilen, CycleClass::Alu, timing::ALU_CYCLES);
-            }
-            USpec::LoadW { rd, rs1, offset } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1).wrapping_add(offset);
-                let v = self.mem_read(bus, addr, 4)?;
-                self.set_reg(rd, v);
-                self.retire_fast(pc, ilen, CycleClass::Load, timing::MEM_CYCLES);
-            }
-            USpec::LoadWPostInc { rd, rs1, offset } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1);
-                let v = self.mem_read(bus, addr, 4)?;
-                self.set_reg(rd, v);
-                self.set_reg(rs1, addr.wrapping_add(offset));
-                self.retire_fast(pc, ilen, CycleClass::Load, timing::MEM_CYCLES);
-            }
-            USpec::Load {
-                kind,
-                rd,
-                rs1,
-                offset,
-            } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1).wrapping_add(offset);
-                let v = self.load_value(bus, kind, addr)?;
-                self.set_reg(rd, v);
-                self.retire_fast(pc, ilen, CycleClass::Load, timing::MEM_CYCLES);
-            }
-            USpec::LoadPostInc {
-                kind,
-                rd,
-                rs1,
-                offset,
-            } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1);
-                let v = self.load_value(bus, kind, addr)?;
-                self.set_reg(rd, v);
-                self.set_reg(rs1, addr.wrapping_add(offset));
-                self.retire_fast(pc, ilen, CycleClass::Load, timing::MEM_CYCLES);
-            }
-            USpec::StoreW { rs1, rs2, offset } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1).wrapping_add(offset);
-                let smc = fp.covers_code(addr, 4);
-                let v = self.reg(rs2);
-                self.mem_write(bus, addr, 4, v)?;
-                self.retire_fast(pc, ilen, CycleClass::Store, timing::MEM_CYCLES);
-                if smc {
-                    fp.flush();
-                }
-                return Ok((false, smc));
-            }
-            USpec::StoreWPostInc { rs1, rs2, offset } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1);
-                let smc = fp.covers_code(addr, 4);
-                let v = self.reg(rs2);
-                self.mem_write(bus, addr, 4, v)?;
-                self.set_reg(rs1, addr.wrapping_add(offset));
-                self.retire_fast(pc, ilen, CycleClass::Store, timing::MEM_CYCLES);
-                if smc {
-                    fp.flush();
-                }
-                return Ok((false, smc));
-            }
-            USpec::Store {
-                size,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1).wrapping_add(offset);
-                let smc = fp.covers_code(addr, size);
-                let v = self.reg(rs2);
-                self.mem_write(bus, addr, size, v)?;
-                self.retire_fast(pc, ilen, CycleClass::Store, timing::MEM_CYCLES);
-                if smc {
-                    fp.flush();
-                }
-                return Ok((false, smc));
-            }
-            USpec::StorePostInc {
-                size,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                self.perf.instret += 1;
-                let addr = self.reg(rs1);
-                let smc = fp.covers_code(addr, size);
-                let v = self.reg(rs2);
-                self.mem_write(bus, addr, size, v)?;
-                self.set_reg(rs1, addr.wrapping_add(offset));
-                self.retire_fast(pc, ilen, CycleClass::Store, timing::MEM_CYCLES);
-                if smc {
-                    fp.flush();
-                }
-                return Ok((false, smc));
+                self.exec_decoded(bus, op.instr, ilen)?
             }
             USpec::Branch {
                 cond,
@@ -879,7 +780,8 @@ impl Core {
                 self.perf.branches += 1;
                 if cond.eval(self.reg(rs1), self.reg(rs2)) {
                     // A taken branch is an explicit jump: it bypasses
-                    // the hardware-loop end check, like exec_decoded.
+                    // the hardware-loop end check (RI5CY forbids
+                    // branches as the last body instruction).
                     self.perf.branches_taken += 1;
                     self.perf.stall_cycles += timing::BRANCH_TAKEN_CYCLES - 1;
                     self.perf.cycles += timing::BRANCH_TAKEN_CYCLES;
@@ -888,13 +790,14 @@ impl Core {
                         .charge(CycleClass::Branch, timing::BRANCH_TAKEN_CYCLES);
                     self.pc = pc.wrapping_add(offset);
                 } else {
-                    self.retire_fast(
+                    self.retire(
                         pc,
                         ilen,
                         CycleClass::Branch,
                         timing::BRANCH_NOT_TAKEN_CYCLES,
                     );
                 }
+                false
             }
             USpec::Jal { rd, offset } => {
                 self.perf.instret += 1;
@@ -905,17 +808,151 @@ impl Core {
                     .ledger
                     .charge(CycleClass::Jump, timing::JUMP_CYCLES);
                 self.pc = pc.wrapping_add(offset);
+                false
+            }
+            // Nothing may run between the two matches on the shape, so
+            // the compiler can fold them into one dispatch.
+            spec => {
+                let body = self.exec_burst(bus, pc, spec);
+                self.perf.instret += 1;
+                let (class, cycles) = match body? {
+                    Retired::Alu => (CycleClass::Alu, timing::ALU_CYCLES),
+                    Retired::Load => {
+                        self.perf.loads += 1;
+                        (CycleClass::Load, timing::MEM_CYCLES)
+                    }
+                    Retired::Store { addr, size } => {
+                        self.perf.stores += 1;
+                        stored = Some((addr, size));
+                        (CycleClass::Store, timing::MEM_CYCLES)
+                    }
+                    Retired::Dot(fmt) => {
+                        self.perf.dotp[fmt_index(fmt)] += 1;
+                        (CycleClass::Dotp(fmt), timing::ALU_CYCLES)
+                    }
+                };
+                self.retire(pc, ilen, class, cycles);
+                false
+            }
+        };
+        // The store's decoded form predates the overwrite, so every
+        // cached block is dropped and the next op is re-fetched.
+        let flushed = match (fp, stored) {
+            (Some(fp), Some((addr, size))) if fp.covers_code(addr, size) => {
+                fp.flush();
+                true
+            }
+            _ => false,
+        };
+        Ok((halted, flushed))
+    }
+
+    /// The register, memory and misalign-stall effect of one
+    /// burst-eligible op at `pc` ([`USpec::is_burst`]): the only body
+    /// of each such shape, shared by the per-op retire ([`Core::exec_spec`]) and the
+    /// batched one ([`Core::seg_burst`]). The caller books the retire —
+    /// `instret`, the load/store/dot counter, the one-cycle ledger
+    /// charge and the next PC — from the returned [`Retired`] kind.
+    ///
+    /// # Errors
+    ///
+    /// A bus fault on the access (see [`Core::load`]).
+    #[inline(always)]
+    fn exec_burst<B: Bus>(&mut self, bus: &mut B, pc: u32, spec: USpec) -> Result<Retired, Trap> {
+        Ok(match spec {
+            USpec::Lui { rd, imm } => {
+                self.set_reg(rd, imm);
+                Retired::Alu
+            }
+            USpec::Auipc { rd, imm } => {
+                self.set_reg(rd, pc.wrapping_add(imm));
+                Retired::Alu
+            }
+            USpec::Alu { op, rd, rs1, rs2 } => {
+                let v = op.eval(self.reg(rs1), self.reg(rs2));
+                self.set_reg(rd, v);
+                Retired::Alu
+            }
+            USpec::AluImm { op, rd, rs1, imm } => {
+                let v = op.eval(self.reg(rs1), imm);
+                self.set_reg(rd, v);
+                Retired::Alu
+            }
+            USpec::LoadW { rd, rs1, offset } => {
+                let v = self.load(bus, pc, self.reg(rs1).wrapping_add(offset), 4)?;
+                self.set_reg(rd, v);
+                Retired::Load
+            }
+            USpec::LoadWPostInc { rd, rs1, offset } => {
+                let addr = self.reg(rs1);
+                let v = self.load(bus, pc, addr, 4)?;
+                self.set_reg(rd, v);
+                self.set_reg(rs1, addr.wrapping_add(offset));
+                Retired::Load
+            }
+            USpec::Load {
+                kind,
+                rd,
+                rs1,
+                offset,
+            } => {
+                let addr = self.reg(rs1).wrapping_add(offset);
+                let raw = self.load(bus, pc, addr, kind.size())?;
+                self.set_reg(rd, extend_load(kind, raw));
+                Retired::Load
+            }
+            USpec::LoadPostInc {
+                kind,
+                rd,
+                rs1,
+                offset,
+            } => {
+                let addr = self.reg(rs1);
+                let raw = self.load(bus, pc, addr, kind.size())?;
+                self.set_reg(rd, extend_load(kind, raw));
+                self.set_reg(rs1, addr.wrapping_add(offset));
+                Retired::Load
+            }
+            USpec::StoreW { rs1, rs2, offset } => {
+                let addr = self.reg(rs1).wrapping_add(offset);
+                self.store(bus, pc, addr, 4, self.reg(rs2))?;
+                Retired::Store { addr, size: 4 }
+            }
+            USpec::StoreWPostInc { rs1, rs2, offset } => {
+                let addr = self.reg(rs1);
+                self.store(bus, pc, addr, 4, self.reg(rs2))?;
+                self.set_reg(rs1, addr.wrapping_add(offset));
+                Retired::Store { addr, size: 4 }
+            }
+            USpec::Store {
+                size,
+                rs1,
+                rs2,
+                offset,
+            } => {
+                let addr = self.reg(rs1).wrapping_add(offset);
+                self.store(bus, pc, addr, size, self.reg(rs2))?;
+                Retired::Store { addr, size }
+            }
+            USpec::StorePostInc {
+                size,
+                rs1,
+                rs2,
+                offset,
+            } => {
+                let addr = self.reg(rs1);
+                self.store(bus, pc, addr, size, self.reg(rs2))?;
+                self.set_reg(rs1, addr.wrapping_add(offset));
+                Retired::Store { addr, size }
             }
             USpec::Dot {
                 acc,
                 fmt,
                 sign,
-                fi,
                 rd,
                 rs1,
                 op2,
             } => {
-                self.perf.instret += 1;
                 let b = match op2 {
                     DotOp2::Vector(r) => self.reg(r),
                     DotOp2::Scalar(r) => simd::replicate(fmt, self.reg(r)),
@@ -924,16 +961,18 @@ impl Core {
                 let d = crate::fastpath::dot_eval(fmt, sign, self.reg(rs1), b);
                 let v = if acc { self.reg(rd).wrapping_add(d) } else { d };
                 self.set_reg(rd, v);
-                self.perf.dotp[fi as usize] += 1;
-                self.retire_fast(pc, ilen, CycleClass::Dotp(fmt), timing::ALU_CYCLES);
+                Retired::Dot(fmt)
             }
-        }
-        Ok((false, false))
+            USpec::Generic | USpec::Branch { .. } | USpec::Jal { .. } => {
+                unreachable!("{spec:?} is not a burst shape")
+            }
+        })
     }
 
-    /// Executes one already-decoded instruction at the current PC: the
-    /// single execution routine shared by the interpreter and the fast
-    /// path (which is what makes the two bit-exact by construction).
+    /// Executes one already-decoded [`USpec::Generic`] instruction at
+    /// the current PC: every instruction `with_spec!` leaves without a
+    /// specialized form (CSRs, multiply/divide, hardware-loop setup,
+    /// the other SIMD ops, `pv.qnt`, the vector unit, `jalr`, ...).
     ///
     /// Returns `Ok(true)` on `ecall`, like [`Core::step`].
     ///
@@ -943,7 +982,6 @@ impl Core {
     /// extension-checked the instruction.
     fn exec_decoded<B: Bus>(&mut self, bus: &mut B, instr: Instr, ilen: u32) -> Result<bool, Trap> {
         let pc = self.pc;
-        let cycles_at_entry = self.perf.cycles;
         self.perf.instret += 1;
         let mut cycles = timing::ALU_CYCLES;
         // Where the ledger charges this instruction's `cycles`. Memory
@@ -953,22 +991,24 @@ impl Core {
         let mut class = CycleClass::Alu;
         let mut qnt_stall = 0u64;
         let mut next_pc = pc.wrapping_add(ilen);
-        // Control-flow instructions bypass the hardware-loop end check
-        // (RI5CY forbids branches as the last body instruction; a taken
-        // branch simply wins here).
+        // Jumps (and the halting `ecall`) bypass the hardware-loop end
+        // check.
         let mut explicit_jump = false;
+        let mut halted = false;
 
         match instr {
-            Instr::Lui { rd, imm } => self.set_reg(rd, imm),
-            Instr::Auipc { rd, imm } => self.set_reg(rd, pc.wrapping_add(imm)),
-            Instr::Jal { rd, offset } => {
-                self.set_reg(rd, pc.wrapping_add(ilen));
-                next_pc = pc.wrapping_add(offset as u32);
-                cycles = timing::JUMP_CYCLES;
-                class = CycleClass::Jump;
-                self.perf.jumps += 1;
-                explicit_jump = true;
-            }
+            Instr::Lui { .. }
+            | Instr::Auipc { .. }
+            | Instr::Jal { .. }
+            | Instr::Branch { .. }
+            | Instr::Load { .. }
+            | Instr::LoadPostInc { .. }
+            | Instr::Store { .. }
+            | Instr::StorePostInc { .. }
+            | Instr::Alu { .. }
+            | Instr::AluImm { .. }
+            | Instr::PvDot { .. }
+            | Instr::PvSdot { .. } => unreachable!("{instr} executes as its specialized op"),
             Instr::Jalr { rd, rs1, offset } => {
                 let target = self.reg(rs1).wrapping_add(offset as u32) & !1;
                 self.set_reg(rd, pc.wrapping_add(ilen));
@@ -978,70 +1018,11 @@ impl Core {
                 self.perf.jumps += 1;
                 explicit_jump = true;
             }
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                self.perf.branches += 1;
-                class = CycleClass::Branch;
-                if cond.eval(self.reg(rs1), self.reg(rs2)) {
-                    next_pc = pc.wrapping_add(offset as u32);
-                    cycles = timing::BRANCH_TAKEN_CYCLES;
-                    self.perf.branches_taken += 1;
-                    self.perf.stall_cycles += timing::BRANCH_TAKEN_CYCLES - 1;
-                    explicit_jump = true;
-                } else {
-                    cycles = timing::BRANCH_NOT_TAKEN_CYCLES;
-                }
-            }
-            Instr::Load {
-                kind,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u32);
-                let v = self.load_value(bus, kind, addr)?;
-                self.set_reg(rd, v);
-                cycles = timing::MEM_CYCLES;
-                class = CycleClass::Load;
-            }
-            Instr::Store {
-                kind,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                let addr = self.reg(rs1).wrapping_add(offset as u32);
-                let v = self.reg(rs2);
-                self.mem_write(bus, addr, kind.size(), v)?;
-                cycles = timing::MEM_CYCLES;
-                class = CycleClass::Store;
-            }
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                let v = op.eval(self.reg(rs1), self.reg(rs2));
-                self.set_reg(rd, v);
-            }
-            Instr::AluImm { op, rd, rs1, imm } => {
-                let v = op.eval(self.reg(rs1), imm as u32);
-                self.set_reg(rd, v);
-            }
             Instr::Fence | Instr::Nop => {}
             Instr::Ecall => {
-                self.perf.cycles += cycles;
-                self.perf.ledger.charge(CycleClass::Csr, cycles);
-                debug_assert_eq!(
-                    self.perf.cycles,
-                    self.perf.ledger.total(),
-                    "cycle ledger out of balance at retire of ecall @ {pc:#010x}"
-                );
-                if let Some(t) = &mut self.tracer {
-                    t.record(pc, instr, self.perf.cycles - cycles_at_entry);
-                }
-                self.pc = next_pc;
-                return Ok(true);
+                class = CycleClass::Csr;
+                explicit_jump = true;
+                halted = true;
             }
             Instr::Ebreak => return Err(Trap::Breakpoint { pc }),
             Instr::Csr { op, rd, rs1, csr } => {
@@ -1131,47 +1112,23 @@ impl Core {
                 let v = (self.reg(rd) & !mask) | ((self.reg(rs1) << off) & mask);
                 self.set_reg(rd, v);
             }
-            Instr::LoadPostInc {
-                kind,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let addr = self.reg(rs1);
-                let v = self.load_value(bus, kind, addr)?;
-                self.set_reg(rd, v);
-                self.set_reg(rs1, addr.wrapping_add(offset as u32));
-                cycles = timing::MEM_CYCLES;
-                class = CycleClass::Load;
-            }
             Instr::LoadPostIncReg { kind, rd, rs1, rs2 } => {
                 let addr = self.reg(rs1);
                 let inc = self.reg(rs2);
-                let v = self.load_value(bus, kind, addr)?;
-                self.set_reg(rd, v);
+                let raw = self.load(bus, pc, addr, kind.size())?;
+                self.set_reg(rd, extend_load(kind, raw));
                 self.set_reg(rs1, addr.wrapping_add(inc));
+                self.perf.loads += 1;
                 cycles = timing::MEM_CYCLES;
                 class = CycleClass::Load;
             }
             Instr::LoadRegOff { kind, rd, rs1, rs2 } => {
                 let addr = self.reg(rs1).wrapping_add(self.reg(rs2));
-                let v = self.load_value(bus, kind, addr)?;
-                self.set_reg(rd, v);
+                let raw = self.load(bus, pc, addr, kind.size())?;
+                self.set_reg(rd, extend_load(kind, raw));
+                self.perf.loads += 1;
                 cycles = timing::MEM_CYCLES;
                 class = CycleClass::Load;
-            }
-            Instr::StorePostInc {
-                kind,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                let addr = self.reg(rs1);
-                let v = self.reg(rs2);
-                self.mem_write(bus, addr, kind.size(), v)?;
-                self.set_reg(rs1, addr.wrapping_add(offset as u32));
-                cycles = timing::MEM_CYCLES;
-                class = CycleClass::Store;
             }
             Instr::StorePostIncReg {
                 kind,
@@ -1180,10 +1137,10 @@ impl Core {
                 rs3,
             } => {
                 let addr = self.reg(rs1);
-                let v = self.reg(rs2);
                 let inc = self.reg(rs3);
-                self.mem_write(bus, addr, kind.size(), v)?;
+                self.store(bus, pc, addr, kind.size(), self.reg(rs2))?;
                 self.set_reg(rs1, addr.wrapping_add(inc));
+                self.perf.stores += 1;
                 cycles = timing::MEM_CYCLES;
                 class = CycleClass::Store;
             }
@@ -1270,32 +1227,6 @@ impl Core {
                 self.set_reg(rd, v);
                 class = CycleClass::SimdAlu(fmt);
                 self.perf.simd_alu[fmt_index(fmt)] += 1;
-            }
-            Instr::PvDot {
-                fmt,
-                sign,
-                rd,
-                rs1,
-                op2,
-            } => {
-                let b = self.simd_op2(fmt, op2);
-                let v = simd::dotp(fmt, sign, self.reg(rs1), b);
-                self.set_reg(rd, v);
-                class = CycleClass::Dotp(fmt);
-                self.perf.dotp[fmt_index(fmt)] += 1;
-            }
-            Instr::PvSdot {
-                fmt,
-                sign,
-                rd,
-                rs1,
-                op2,
-            } => {
-                let b = self.simd_op2(fmt, op2);
-                let v = simd::sdotp(fmt, sign, self.reg(rd), self.reg(rs1), b);
-                self.set_reg(rd, v);
-                class = CycleClass::Dotp(fmt);
-                self.perf.dotp[fmt_index(fmt)] += 1;
             }
             Instr::PvQnt { fmt, rd, rs1, rs2 } => {
                 let r = quant::execute(bus, fmt, self.reg(rs1), self.reg(rs2))
@@ -1432,11 +1363,8 @@ impl Core {
             self.perf.ledger.total(),
             "cycle ledger out of balance at retire of {instr} @ {pc:#010x}"
         );
-        if let Some(t) = &mut self.tracer {
-            t.record(pc, instr, self.perf.cycles - cycles_at_entry);
-        }
         self.pc = next_pc;
-        Ok(false)
+        Ok(halted)
     }
 
     /// Runs like [`Core::run`] but calls `trace` with `(pc, instruction)`
@@ -1551,18 +1479,6 @@ impl Core {
         );
     }
 
-    /// The misaligned-access charge of `mem_read`/`mem_write`, applied
-    /// directly from the burst loop (misalignment is rare, so it does
-    /// not go through the batched counters).
-    #[inline]
-    fn seg_misalign(&mut self) {
-        self.perf.cycles += timing::MISALIGN_PENALTY;
-        self.perf.stall_cycles += timing::MISALIGN_PENALTY;
-        self.perf
-            .ledger
-            .charge(CycleClass::MisalignStall, timing::MISALIGN_PENALTY);
-    }
-
     /// The armed hardware-loop end PCs as `u64`s (`u64::MAX` when the
     /// loop is inactive, which no 32-bit retire PC can equal).
     #[inline]
@@ -1577,22 +1493,21 @@ impl Core {
         (end(&self.hwloops[0]), end(&self.hwloops[1]))
     }
 
-    /// Executes a burst of consecutive burst-eligible ops (plain ALU,
-    /// loads, stores, dot products — every single-cycle spec that never
-    /// redirects control except through the hardware-loop rule) from
-    /// `ops[idx..]`, keeping `instret`/`cycles`/ledger deltas in
-    /// register-local counters and *not* maintaining `self.pc` per op.
-    /// Control flow is tracked through the block's contiguity invariant
-    /// plus register-held armed-loop-end compares, so the per-op
-    /// store→load forwarding chains of the architectural counters and
-    /// PC disappear from the critical path.
+    /// Executes a burst of consecutive burst-eligible ops
+    /// ([`USpec::is_burst`]) from `ops[idx..]` through their shared bodies
+    /// ([`Core::exec_burst`]), keeping `instret`/`cycles`/ledger deltas
+    /// in register-local counters and *not* maintaining `self.pc` per
+    /// op. Control flow is tracked through the block's contiguity
+    /// invariant plus register-held armed-loop-end compares, so the
+    /// per-op store→load forwarding chains of the architectural
+    /// counters and PC disappear from the critical path.
     ///
     /// Exactness contract with the per-op path:
     /// - counters are flushed (and `self.pc` materialized) on every
     ///   exit, so architectural state is indistinguishable from per-op
     ///   retires at every point the caller can observe;
-    /// - a trapping access replicates the interpreter's partial-op
-    ///   state (`instret`/`loads`/`stores` bumped, misalign charged, no
+    /// - a trapping access leaves the per-op path's partial-op state
+    ///   (`instret`/`loads`/`stores` bumped, misalign charged, no
     ///   retire) and reports the trapping op's index;
     /// - the burst length is capped so `cycles` cannot reach `limit`
     ///   mid-burst (each eligible op costs at most 2 cycles including a
@@ -1603,9 +1518,8 @@ impl Core {
     /// Returns `(exit, ops_served)`; errors carry `(trap, index of the
     /// trapping op, ops_served)`.
     ///
-    /// Preconditions: `self.pc == ops[idx].pc`, no fast-path bug
-    /// armed, and `ops[idx]` is burst-eligible.
-    #[allow(clippy::too_many_lines)]
+    /// Preconditions: `self.pc == ops[idx].pc` and no fast-path bug
+    /// armed.
     fn seg_burst<B: Bus>(
         &mut self,
         bus: &mut B,
@@ -1626,156 +1540,19 @@ impl Core {
             };
         }
         loop {
-            if remaining == 0 {
+            let op = &ops[idx];
+            if remaining == 0 || !op.spec.is_burst() {
                 flush!();
-                self.pc = ops[idx].pc;
+                self.pc = op.pc;
                 return Ok((SegExit::At(idx), served));
             }
-            let op = &ops[idx];
             let pend = op.pc.wrapping_add(op.ilen);
-            match op.spec {
-                USpec::Generic | USpec::Branch { .. } | USpec::Jal { .. } => {
-                    flush!();
-                    self.pc = op.pc;
-                    return Ok((SegExit::At(idx), served));
-                }
-                USpec::Lui { rd, imm } => {
-                    self.set_reg(rd, imm);
-                    n_alu += 1;
-                }
-                USpec::Auipc { rd, imm } => {
-                    self.set_reg(rd, op.pc.wrapping_add(imm));
-                    n_alu += 1;
-                }
-                USpec::Alu {
-                    op: alu,
-                    rd,
-                    rs1,
-                    rs2,
-                } => {
-                    let v = alu.eval(self.reg(rs1), self.reg(rs2));
-                    self.set_reg(rd, v);
-                    n_alu += 1;
-                }
-                USpec::AluImm {
-                    op: alu,
-                    rd,
-                    rs1,
-                    imm,
-                } => {
-                    let v = alu.eval(self.reg(rs1), imm);
-                    self.set_reg(rd, v);
-                    n_alu += 1;
-                }
-                USpec::LoadW { rd, rs1, offset } | USpec::LoadWPostInc { rd, rs1, offset } => {
-                    let base = self.reg(rs1);
-                    let addr = if matches!(op.spec, USpec::LoadW { .. }) {
-                        base.wrapping_add(offset)
-                    } else {
-                        base
-                    };
-                    if timing::crosses_word_boundary(addr, 4) {
-                        self.seg_misalign();
-                    }
-                    match bus.read(addr, 4) {
-                        Ok(v) => {
-                            self.set_reg(rd, v);
-                            if matches!(op.spec, USpec::LoadWPostInc { .. }) {
-                                self.set_reg(rs1, base.wrapping_add(offset));
-                            }
-                            n_load += 1;
-                        }
-                        Err(error) => {
-                            flush!();
-                            self.perf.instret += 1;
-                            self.perf.loads += 1;
-                            self.pc = op.pc;
-                            return Err((Trap::Bus { pc: op.pc, error }, idx, served));
-                        }
-                    }
-                }
-                USpec::Load {
-                    kind,
-                    rd,
-                    rs1,
-                    offset,
-                }
-                | USpec::LoadPostInc {
-                    kind,
-                    rd,
-                    rs1,
-                    offset,
-                } => {
-                    let base = self.reg(rs1);
-                    let addr = if matches!(op.spec, USpec::Load { .. }) {
-                        base.wrapping_add(offset)
-                    } else {
-                        base
-                    };
-                    if timing::crosses_word_boundary(addr, kind.size()) {
-                        self.seg_misalign();
-                    }
-                    match bus.read(addr, kind.size()) {
-                        Ok(raw) => {
-                            self.set_reg(rd, extend_load(kind, raw));
-                            if matches!(op.spec, USpec::LoadPostInc { .. }) {
-                                self.set_reg(rs1, base.wrapping_add(offset));
-                            }
-                            n_load += 1;
-                        }
-                        Err(error) => {
-                            flush!();
-                            self.perf.instret += 1;
-                            self.perf.loads += 1;
-                            self.pc = op.pc;
-                            return Err((Trap::Bus { pc: op.pc, error }, idx, served));
-                        }
-                    }
-                }
-                USpec::StoreW { rs1, rs2, offset }
-                | USpec::StoreWPostInc { rs1, rs2, offset }
-                | USpec::Store {
-                    size: _,
-                    rs1,
-                    rs2,
-                    offset,
-                }
-                | USpec::StorePostInc {
-                    size: _,
-                    rs1,
-                    rs2,
-                    offset,
-                } => {
-                    let post_inc = matches!(
-                        op.spec,
-                        USpec::StoreWPostInc { .. } | USpec::StorePostInc { .. }
-                    );
-                    let size = match op.spec {
-                        USpec::Store { size, .. } | USpec::StorePostInc { size, .. } => size,
-                        _ => 4,
-                    };
-                    let base = self.reg(rs1);
-                    let addr = if post_inc {
-                        base
-                    } else {
-                        base.wrapping_add(offset)
-                    };
-                    if timing::crosses_word_boundary(addr, size) {
-                        self.seg_misalign();
-                    }
-                    let smc = fp.covers_code(addr, size);
-                    if let Err(error) = bus.write(addr, size, self.reg(rs2)) {
-                        flush!();
-                        self.perf.instret += 1;
-                        self.perf.stores += 1;
-                        self.pc = op.pc;
-                        return Err((Trap::Bus { pc: op.pc, error }, idx, served));
-                    }
-                    if post_inc {
-                        self.set_reg(rs1, base.wrapping_add(offset));
-                    }
+            match self.exec_burst(bus, op.pc, op.spec) {
+                Ok(Retired::Alu) => n_alu += 1,
+                Ok(Retired::Load) => n_load += 1,
+                Ok(Retired::Store { addr, size }) => {
                     n_store += 1;
-                    if smc {
+                    if fp.covers_code(addr, size) {
                         // The store overwrote fetched code: retire it
                         // (hardware-loop rule included), flush every
                         // cached block, and hand control back.
@@ -1787,29 +1564,17 @@ impl Core {
                         return Ok((SegExit::Out, served));
                     }
                 }
-                USpec::Dot {
-                    acc,
-                    fmt,
-                    sign,
-                    fi,
-                    rd,
-                    rs1,
-                    op2,
-                } => {
-                    let b = match op2 {
-                        DotOp2::Vector(r) => self.reg(r),
-                        DotOp2::Scalar(r) => simd::replicate(fmt, self.reg(r)),
-                        DotOp2::Replicated(v) => v,
-                    };
-                    let d = crate::fastpath::dot_eval(fmt, sign, self.reg(rs1), b);
-                    let v = if acc { self.reg(rd).wrapping_add(d) } else { d };
-                    self.set_reg(rd, v);
-                    match fi {
-                        0 => d0 += 1,
-                        1 => d1 += 1,
-                        2 => d2 += 1,
-                        _ => d3 += 1,
-                    }
+                Ok(Retired::Dot(fmt)) => match fmt {
+                    SimdFmt::Half => d0 += 1,
+                    SimdFmt::Byte => d1 += 1,
+                    SimdFmt::Nibble => d2 += 1,
+                    SimdFmt::Crumb => d3 += 1,
+                },
+                Err(t) => {
+                    flush!();
+                    self.perf.instret += 1;
+                    self.pc = op.pc;
+                    return Err((t, idx, served));
                 }
             }
             served += 1;
@@ -1860,22 +1625,7 @@ impl Core {
                     budget: max_cycles,
                 });
             }
-            if fp.isa() != self.isa {
-                fp.reconfigure(self.isa);
-            }
-            let Some((block, mut idx, fresh)) = fp.current_run(self, bus) else {
-                // Untranslatable PC: one interpreter step surfaces the
-                // fetch/decode/extension trap (or executes the oddball
-                // instruction) with the interpreter's exact state.
-                if self.step_interp(bus)? {
-                    return Ok(ExitStatus {
-                        halted: true,
-                        exit_code: self.reg(Reg::A0),
-                        pc: self.pc,
-                    });
-                }
-                continue;
-            };
+            let (block, mut idx, fresh) = fp.current_run(self, bus)?;
             let bug = fp.bug;
             let mut served: u64 = 0;
             // `Ok(Some(exit))` halt, `Ok(None)` resolve afresh,
@@ -1896,7 +1646,7 @@ impl Core {
                 // it hands back on the first op that needs the general
                 // path (or on budget/discontinuity), which then executes
                 // one op below before the next burst attempt.
-                if bug == FastBug::None && op.spec.burst_eligible() {
+                if bug == FastBug::None && op.spec.is_burst() {
                     match self.seg_burst(bus, fp, &block.ops, block.start, idx, limit) {
                         Ok((SegExit::At(i), s)) => {
                             idx = i;
@@ -1924,7 +1674,7 @@ impl Core {
                     }
                 }
                 served += 1;
-                let (halted, flushed) = match self.exec_spec(bus, fp, op) {
+                let (halted, flushed) = match self.exec_spec(bus, Some(fp), op) {
                     Ok(r) => r,
                     Err(t) => break 'replay Err(t),
                 };
@@ -2037,8 +1787,7 @@ fn vec_trap(pc: u32, instr: &Instr, e: VecError) -> Trap {
     }
 }
 
-/// Width-extends a raw little-endian load result per the load kind
-/// (shared by the interpreter's `load_value` and the burst executor).
+/// Width-extends a raw little-endian load result per the load kind.
 #[inline]
 fn extend_load(kind: LoadKind, raw: u32) -> u32 {
     match kind {

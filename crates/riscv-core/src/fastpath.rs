@@ -1,16 +1,17 @@
 //! Decoded-basic-block fast path.
 //!
-//! The interpreter pays a fetch → decode → extension-check pipeline for
-//! every retired instruction, and PULP-NN kernels retire millions of
-//! instructions from a few dozen static addresses (tight hardware-loop
-//! bodies). The fast path converts that regularity into host
-//! throughput: straight-line spans are decoded **once** into compact
-//! [`Op`] runs ([`Block`]s), cached by start PC, and replayed through
-//! the *same* execution routine the interpreter uses
-//! (`Core::exec_decoded`). Because only the fetch/decode work is
-//! elided — never the execution or cycle-accounting code — architectural
-//! state, the `cycles == Σ buckets` ledger invariant, and every pinned
-//! cycle count stay bit-exact by construction.
+//! Every retired instruction executes as an [`Op`]: the decoded
+//! instruction plus its decode-time specialization (`USpec`),
+//! run by `Core::exec_spec`. The interpreter builds that op afresh
+//! from a fetch → decode → extension check on every step; the fast
+//! path converts the regularity of PULP-NN kernels — millions of
+//! retires from a few dozen static addresses in tight hardware-loop
+//! bodies — into host throughput by decoding straight-line spans
+//! **once** into [`Block`]s, cached by start PC. Only the
+//! fetch/decode work is elided; the execution and cycle-accounting
+//! code is the same, so architectural state, the `cycles == Σ buckets`
+//! ledger invariant and every pinned cycle count stay bit-exact by
+//! construction.
 //!
 //! # Block formation
 //!
@@ -20,9 +21,8 @@
 //!   `ebreak`) — **included** as the block's final op, since it executes
 //!   from its pre-decoded form just fine;
 //! * an instruction that fails to fetch, decode, or pass the extension
-//!   check — **excluded**, so the trap (if execution ever gets there)
-//!   is raised by a fallback interpreter step with the interpreter's
-//!   exact PC and state;
+//!   check — **excluded**; at the block start, the lookup returns that
+//!   instruction's trap, the very trap the interpreter raises there;
 //! * the block size cap.
 //!
 //! Hardware-loop back-edges need no special casing: the executor
@@ -34,17 +34,16 @@
 //!
 //! | situation | behaviour |
 //! |---|---|
-//! | tracer attached | pure interpretation (`step`/`run` check first) |
+//! | tracer attached | ops decoded afresh per step (`step`/`run` check first) |
 //! | fault plan armed | driver calls `Core::disable_fastpath()` |
-//! | op would trap | untranslatable op → fallback interpreter step |
+//! | op would trap | untranslatable op → the lookup returns its trap |
 //! | store hits fetched code | store executes, then the cache flushes |
 //! | `restore()` / `reset()` | cache flushes |
 //! | host write bypassing the bus | caller calls `Core::invalidate_fastpath()` |
 //! | ISA config changed | cache flushes on the next lookup |
 
 use crate::bus::Bus;
-use crate::core::{Core, IsaConfig};
-use crate::perf::fmt_index;
+use crate::core::{Core, IsaConfig, Trap};
 use pulp_isa::instr::{AluOp, BranchCond, Instr, LoadKind, SimdOperand};
 use pulp_isa::simd::{DotSign, SimdFmt};
 use pulp_isa::Reg;
@@ -60,8 +59,8 @@ const MAX_BLOCK_OPS: usize = 64;
 /// window never alias; a colliding start simply evicts the old block.
 const BLOCK_SLOTS: usize = 4096;
 
-/// One pre-decoded instruction: everything `Core::exec_decoded` needs,
-/// plus the translate-time specialization (see [`USpec`]).
+/// One pre-decoded instruction, the executable form of every retire
+/// (`Core::exec_spec`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Op {
     /// Address the instruction was fetched from.
@@ -70,7 +69,7 @@ pub struct Op {
     pub ilen: u32,
     /// The decoded instruction.
     pub instr: Instr,
-    /// Translate-time specialization for the execution hot path.
+    /// The instruction's specialized form.
     pub(crate) spec: USpec,
 }
 
@@ -86,23 +85,29 @@ pub(crate) enum DotOp2 {
     Replicated(u32),
 }
 
-/// Translate-time specialization of one instruction.
+/// Decode-time specialization of one instruction.
 ///
-/// The interpreter's `Core::exec_decoded` pays for generality on every
-/// retire: a 50-way match, runtime-`fmt` SIMD lane loops, dynamic
-/// load/store sizing. The profiled QNN kernels spend >90 % of retires
-/// in a handful of shapes (post-increment word loads, `pv.sdot*`,
-/// scalar ALU, branches), so the translator resolves those shapes
-/// *once* into compact pre-specialized variants that
-/// `Core::exec_spec` executes with the exact same architectural,
-/// counter and trap side effects — verified op-for-op by the
-/// `conformance --fastpath` lockstep oracle and the pinned cycle
-/// counts. Everything else stays [`USpec::Generic`] and runs through
-/// `exec_decoded` unchanged.
+/// The profiled QNN kernels spend >90 % of retires in a handful of
+/// shapes (post-increment word loads, `pv.sdot*`, scalar ALU,
+/// branches), so `with_spec!` resolves those shapes into compact
+/// pre-specialized variants — no runtime-`fmt` SIMD lane loops, no
+/// dynamic load/store sizing — that `Core::exec_spec` executes.
+/// Everything else stays [`USpec::Generic`] and runs through
+/// `Core::exec_decoded`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum USpec {
     /// No specialization: execute via `Core::exec_decoded`.
     Generic,
+    /// Conditional branch (target offset pre-cast).
+    Branch {
+        cond: BranchCond,
+        rs1: Reg,
+        rs2: Reg,
+        offset: u32,
+    },
+    /// Direct jump-and-link.
+    Jal { rd: Reg, offset: u32 },
+    // Burst-eligible shapes (`USpec::is_burst`) from here on.
     /// `lui`.
     Lui { rd: Reg, imm: u32 },
     /// `auipc`.
@@ -160,23 +165,12 @@ pub(crate) enum USpec {
         rs2: Reg,
         offset: u32,
     },
-    /// Conditional branch (target offset pre-cast).
-    Branch {
-        cond: BranchCond,
-        rs1: Reg,
-        rs2: Reg,
-        offset: u32,
-    },
-    /// Direct jump-and-link.
-    Jal { rd: Reg, offset: u32 },
     /// `pv.dot*` / `pv.sdot*` with the lane math monomorphized per
-    /// `(fmt, sign)` (dispatched through [`dot_eval`]) and the ledger
-    /// index precomputed.
+    /// `(fmt, sign)` (dispatched through [`dot_eval`]).
     Dot {
         acc: bool,
         fmt: SimdFmt,
         sign: DotSign,
-        fi: u8,
         rd: Reg,
         rs1: Reg,
         op2: DotOp2,
@@ -184,12 +178,13 @@ pub(crate) enum USpec {
 }
 
 impl USpec {
-    /// True for the specs the counter-batched burst executor handles:
-    /// every single-cycle shape that only redirects control through
-    /// the hardware-loop rule. `Generic` (arbitrary side effects),
-    /// branches and jumps always go through the general per-op path.
+    /// True for the burst-eligible shapes: single-cycle ops that
+    /// redirect control only through the hardware-loop rule, so runs
+    /// of them can retire as one counter-batched burst
+    /// (`Core::seg_burst`) as well as one by one. `Core::exec_burst`
+    /// holds each one's only body.
     #[inline]
-    pub(crate) fn burst_eligible(&self) -> bool {
+    pub(crate) fn is_burst(&self) -> bool {
         !matches!(
             self,
             USpec::Generic | USpec::Branch { .. } | USpec::Jal { .. }
@@ -250,7 +245,15 @@ pub(crate) fn dot_eval(fmt: SimdFmt, sign: DotSign, a: u32, b: u32) -> u32 {
     }
 }
 
-fn dot_spec(fmt: SimdFmt, sign: DotSign, rd: Reg, rs1: Reg, op2: SimdOperand, acc: bool) -> USpec {
+#[inline(always)]
+pub(crate) fn dot_spec(
+    fmt: SimdFmt,
+    sign: DotSign,
+    rd: Reg,
+    rs1: Reg,
+    op2: SimdOperand,
+    acc: bool,
+) -> USpec {
     let op2 = match op2 {
         SimdOperand::Vector(r) => DotOp2::Vector(r),
         SimdOperand::Scalar(r) => DotOp2::Scalar(r),
@@ -260,142 +263,151 @@ fn dot_spec(fmt: SimdFmt, sign: DotSign, rd: Reg, rs1: Reg, op2: SimdOperand, ac
         acc,
         fmt,
         sign,
-        fi: fmt_index(fmt) as u8,
         rd,
         rs1,
         op2,
     }
 }
 
-/// Classifies one decoded instruction into its specialized execution
-/// form (or [`USpec::Generic`]). Pure function of the instruction —
-/// no ISA-config dependence, so cached blocks stay valid per config.
+/// Classifies the decoded instruction `$instr` into its specialized
+/// execution form (or [`USpec::Generic`]) and passes that form to the
+/// callable `$k`, spelled out once per arm. [`specialize`] passes it
+/// through; the interpreter's step passes a closure that executes it,
+/// so once inlined every arm runs its shape's body directly instead of
+/// dispatching a second time on the form. Pure function of the
+/// instruction — no ISA-config dependence, so cached blocks stay valid
+/// per config.
+macro_rules! with_spec {
+    ($instr:expr, $k:expr) => {{
+        use ::pulp_isa::instr::{Instr, LoadKind};
+        use $crate::fastpath::{dot_spec, USpec};
+        match $instr {
+            Instr::Branch {
+                cond,
+                rs1,
+                rs2,
+                offset,
+            } => $k(USpec::Branch {
+                cond,
+                rs1,
+                rs2,
+                offset: offset as u32,
+            }),
+            Instr::Jal { rd, offset } => $k(USpec::Jal {
+                rd,
+                offset: offset as u32,
+            }),
+            Instr::Lui { rd, imm } => $k(USpec::Lui { rd, imm }),
+            Instr::Auipc { rd, imm } => $k(USpec::Auipc { rd, imm }),
+            Instr::Alu { op, rd, rs1, rs2 } => $k(USpec::Alu { op, rd, rs1, rs2 }),
+            Instr::AluImm { op, rd, rs1, imm } => $k(USpec::AluImm {
+                op,
+                rd,
+                rs1,
+                imm: imm as u32,
+            }),
+            Instr::Load {
+                kind: LoadKind::Word,
+                rd,
+                rs1,
+                offset,
+            } => $k(USpec::LoadW {
+                rd,
+                rs1,
+                offset: offset as u32,
+            }),
+            Instr::Load {
+                kind,
+                rd,
+                rs1,
+                offset,
+            } => $k(USpec::Load {
+                kind,
+                rd,
+                rs1,
+                offset: offset as u32,
+            }),
+            Instr::LoadPostInc {
+                kind: LoadKind::Word,
+                rd,
+                rs1,
+                offset,
+            } => $k(USpec::LoadWPostInc {
+                rd,
+                rs1,
+                offset: offset as u32,
+            }),
+            Instr::LoadPostInc {
+                kind,
+                rd,
+                rs1,
+                offset,
+            } => $k(USpec::LoadPostInc {
+                kind,
+                rd,
+                rs1,
+                offset: offset as u32,
+            }),
+            Instr::Store {
+                kind,
+                rs1,
+                rs2,
+                offset,
+            } => match kind.size() {
+                4 => $k(USpec::StoreW {
+                    rs1,
+                    rs2,
+                    offset: offset as u32,
+                }),
+                size => $k(USpec::Store {
+                    size,
+                    rs1,
+                    rs2,
+                    offset: offset as u32,
+                }),
+            },
+            Instr::StorePostInc {
+                kind,
+                rs1,
+                rs2,
+                offset,
+            } => match kind.size() {
+                4 => $k(USpec::StoreWPostInc {
+                    rs1,
+                    rs2,
+                    offset: offset as u32,
+                }),
+                size => $k(USpec::StorePostInc {
+                    size,
+                    rs1,
+                    rs2,
+                    offset: offset as u32,
+                }),
+            },
+            Instr::PvDot {
+                fmt,
+                sign,
+                rd,
+                rs1,
+                op2,
+            } => $k(dot_spec(fmt, sign, rd, rs1, op2, false)),
+            Instr::PvSdot {
+                fmt,
+                sign,
+                rd,
+                rs1,
+                op2,
+            } => $k(dot_spec(fmt, sign, rd, rs1, op2, true)),
+            _ => $k(USpec::Generic),
+        }
+    }};
+}
+pub(crate) use with_spec;
+
+/// The specialized execution form of one decoded instruction (see
+/// [`with_spec`]).
 pub(crate) fn specialize(instr: &Instr) -> USpec {
-    match *instr {
-        Instr::Lui { rd, imm } => USpec::Lui { rd, imm },
-        Instr::Auipc { rd, imm } => USpec::Auipc { rd, imm },
-        Instr::Alu { op, rd, rs1, rs2 } => USpec::Alu { op, rd, rs1, rs2 },
-        Instr::AluImm { op, rd, rs1, imm } => USpec::AluImm {
-            op,
-            rd,
-            rs1,
-            imm: imm as u32,
-        },
-        Instr::Load {
-            kind: LoadKind::Word,
-            rd,
-            rs1,
-            offset,
-        } => USpec::LoadW {
-            rd,
-            rs1,
-            offset: offset as u32,
-        },
-        Instr::Load {
-            kind,
-            rd,
-            rs1,
-            offset,
-        } => USpec::Load {
-            kind,
-            rd,
-            rs1,
-            offset: offset as u32,
-        },
-        Instr::LoadPostInc {
-            kind: LoadKind::Word,
-            rd,
-            rs1,
-            offset,
-        } => USpec::LoadWPostInc {
-            rd,
-            rs1,
-            offset: offset as u32,
-        },
-        Instr::LoadPostInc {
-            kind,
-            rd,
-            rs1,
-            offset,
-        } => USpec::LoadPostInc {
-            kind,
-            rd,
-            rs1,
-            offset: offset as u32,
-        },
-        Instr::Store {
-            kind,
-            rs1,
-            rs2,
-            offset,
-        } => {
-            if kind.size() == 4 {
-                USpec::StoreW {
-                    rs1,
-                    rs2,
-                    offset: offset as u32,
-                }
-            } else {
-                USpec::Store {
-                    size: kind.size(),
-                    rs1,
-                    rs2,
-                    offset: offset as u32,
-                }
-            }
-        }
-        Instr::StorePostInc {
-            kind,
-            rs1,
-            rs2,
-            offset,
-        } => {
-            if kind.size() == 4 {
-                USpec::StoreWPostInc {
-                    rs1,
-                    rs2,
-                    offset: offset as u32,
-                }
-            } else {
-                USpec::StorePostInc {
-                    size: kind.size(),
-                    rs1,
-                    rs2,
-                    offset: offset as u32,
-                }
-            }
-        }
-        Instr::Branch {
-            cond,
-            rs1,
-            rs2,
-            offset,
-        } => USpec::Branch {
-            cond,
-            rs1,
-            rs2,
-            offset: offset as u32,
-        },
-        Instr::Jal { rd, offset } => USpec::Jal {
-            rd,
-            offset: offset as u32,
-        },
-        Instr::PvDot {
-            fmt,
-            sign,
-            rd,
-            rs1,
-            op2,
-        } => dot_spec(fmt, sign, rd, rs1, op2, false),
-        Instr::PvSdot {
-            fmt,
-            sign,
-            rd,
-            rs1,
-            op2,
-        } => dot_spec(fmt, sign, rd, rs1, op2, true),
-        _ => USpec::Generic,
-    }
+    with_spec!(*instr, |spec| spec)
 }
 
 /// A decoded straight-line span. Blocks are immutable once formed and
@@ -413,7 +425,7 @@ pub struct Block {
 /// influence simulated state).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastPathStats {
-    /// Ops served from cache (cursor or map hit).
+    /// Ops served from cache (cursor or table hit).
     pub hits: u64,
     /// Ops served by a fresh translation's first instruction.
     pub misses: u64,
@@ -421,7 +433,8 @@ pub struct FastPathStats {
     pub translations: u64,
     /// Total ops across all translations.
     pub translated_ops: u64,
-    /// Steps that fell back to the interpreter (untranslatable PC).
+    /// Lookups at an untranslatable PC (the instruction there fails to
+    /// fetch, decode or extension-check, so its trap is returned).
     pub interp_fallbacks: u64,
     /// Whole-cache flushes (restore/reset/SMC/ISA change/capacity).
     pub invalidations: u64,
@@ -495,11 +508,6 @@ impl BlockCache {
         }
     }
 
-    /// The ISA configuration the cached blocks were translated under.
-    pub(crate) fn isa(&self) -> IsaConfig {
-        self.isa
-    }
-
     /// Drops every cached block and the covered-code span.
     pub(crate) fn flush(&mut self) {
         self.slots.iter_mut().for_each(|s| *s = None);
@@ -509,89 +517,57 @@ impl BlockCache {
         self.stats.invalidations += 1;
     }
 
-    /// Flushes and re-keys the cache for a new ISA configuration
-    /// (extension checks are performed at translation time, so blocks
-    /// from another configuration are unusable).
-    pub(crate) fn reconfigure(&mut self, isa: IsaConfig) {
-        self.flush();
-        self.isa = isa;
-    }
-
     /// True when a `size`-byte access at `addr` intersects any region
     /// the translator has fetched instructions from.
     pub(crate) fn covers_code(&self, addr: u32, size: u32) -> bool {
         addr < self.code_hi && addr.saturating_add(size) > self.code_lo
     }
 
-    /// The pre-decoded op at the core's current PC, translating a new
-    /// block on a miss. `None` means no block can be formed there (the
-    /// very first instruction fails to fetch/decode/extension-check) —
-    /// the caller must fall back to one interpreter step.
-    pub(crate) fn next_op<B: Bus>(&mut self, core: &Core, bus: &mut B) -> Option<Op> {
-        let pc = core.pc;
-        if let Some((block, idx)) = &mut self.cursor {
-            if let Some(op) = block.ops.get(*idx) {
-                if op.pc == pc {
-                    let op = *op;
-                    *idx += 1;
-                    self.stats.hits += 1;
-                    return Some(op);
-                }
-            }
-            // Back-edge to the head of the very block on the cursor
-            // (the hardware-loop steady state): rewind in place, no
-            // table probe.
-            if block.start == pc {
-                let op = block.ops[0];
-                *idx = 1;
-                self.stats.hits += 1;
-                return Some(op);
-            }
-        }
-        if let Some(block) = &self.slots[Self::slot_of(pc)] {
-            if block.start == pc {
-                let block = Arc::clone(block);
-                let op = block.ops[0];
-                self.cursor = Some((block, 1));
-                self.stats.hits += 1;
-                return Some(op);
-            }
-        }
-        let block = self.translate(core, bus, pc)?;
-        Some(block.ops[0])
-    }
-
-    /// Resolves the block containing the core's current PC for a bulk
-    /// replay (`Core::run_fast`): cursor, back-edge wrap, table probe,
-    /// then fresh translation. Returns `(block, index, fresh)`; the
-    /// caller owns hit accounting for the ops it actually replays
-    /// (`fresh` marks that the first op was already counted as the
-    /// translation's miss). `None` means the PC is untranslatable and
-    /// the caller must take one interpreter step.
+    /// Resolves the block containing the core's current PC: cursor,
+    /// back-edge wrap, table probe, then fresh translation (after
+    /// re-keying the cache if the core's ISA changed). Returns
+    /// `(block, index, fresh)`; the caller owns hit accounting for the
+    /// ops it actually retires (`fresh` marks that the first op was
+    /// already counted as the translation's miss) and parks the cursor
+    /// with [`BlockCache::resume_at`].
+    ///
+    /// # Errors
+    ///
+    /// The trap of the instruction at the PC when it fails to fetch,
+    /// decode or extension-check — exactly the interpreter's trap.
     pub(crate) fn current_run<B: Bus>(
         &mut self,
         core: &Core,
         bus: &mut B,
-    ) -> Option<(Arc<Block>, usize, bool)> {
+    ) -> Result<(Arc<Block>, usize, bool), Trap> {
+        if self.isa != core.isa {
+            // Extension checks ran at translation: blocks from another
+            // configuration are unusable.
+            self.flush();
+            self.isa = core.isa;
+        }
         let pc = core.pc;
         if let Some((block, idx)) = &self.cursor {
             if block.ops.get(*idx).is_some_and(|op| op.pc == pc) {
-                return Some((Arc::clone(block), *idx, false));
+                return Ok((Arc::clone(block), *idx, false));
             }
+            // Back-edge to the head of the very block on the cursor
+            // (the hardware-loop steady state): no table probe.
             if block.start == pc {
-                return Some((Arc::clone(block), 0, false));
+                return Ok((Arc::clone(block), 0, false));
             }
         }
         if let Some(block) = &self.slots[Self::slot_of(pc)] {
             if block.start == pc {
-                return Some((Arc::clone(block), 0, false));
+                return Ok((Arc::clone(block), 0, false));
             }
         }
         self.translate(core, bus, pc).map(|b| (b, 0, true))
     }
 
-    /// Re-arms the cursor after a bulk replay so a later single-step
-    /// (or resumed run) continues from the same pre-decoded position.
+    /// Parks the cursor at `ops[idx]` of `block`, so the next lookup
+    /// (a single step or a resumed run) continues from the same
+    /// pre-decoded position.
     pub(crate) fn resume_at(&mut self, block: Arc<Block>, idx: usize) {
         self.cursor = Some((block, idx));
     }
@@ -605,43 +581,43 @@ impl BlockCache {
 
     /// Decodes a fresh block starting at `pc`, caches it, and returns
     /// it (with the cursor primed past the first op).
-    fn translate<B: Bus>(&mut self, core: &Core, bus: &mut B, start: u32) -> Option<Arc<Block>> {
+    fn translate<B: Bus>(
+        &mut self,
+        core: &Core,
+        bus: &mut B,
+        start: u32,
+    ) -> Result<Arc<Block>, Trap> {
         let mut ops = Vec::new();
         let mut pc = start;
         while ops.len() < MAX_BLOCK_OPS {
-            let Ok((instr, ilen)) = core.fetch_decode_at(bus, pc) else {
-                break;
+            let op = match core.decode_checked(bus, pc) {
+                Ok((instr, ilen)) => Op {
+                    pc,
+                    ilen,
+                    instr,
+                    spec: specialize(&instr),
+                },
+                Err(trap) if ops.is_empty() => {
+                    self.cursor = None;
+                    self.stats.interp_fallbacks += 1;
+                    return Err(trap);
+                }
+                Err(_) => break,
             };
-            if (instr.requires_xpulpnn() && !self.isa.xpulpnn)
-                || (instr.requires_xpulpv2() && !self.isa.xpulpv2)
-            {
-                break;
-            }
-            let ends_block = matches!(
-                instr,
+            self.code_lo = self.code_lo.min(pc);
+            self.code_hi = self.code_hi.max(pc.wrapping_add(op.ilen));
+            ops.push(op);
+            if matches!(
+                op.instr,
                 Instr::Jal { .. }
                     | Instr::Jalr { .. }
                     | Instr::Branch { .. }
                     | Instr::Ecall
                     | Instr::Ebreak
-            );
-            ops.push(Op {
-                pc,
-                ilen,
-                instr,
-                spec: specialize(&instr),
-            });
-            self.code_lo = self.code_lo.min(pc);
-            self.code_hi = self.code_hi.max(pc.wrapping_add(ilen));
-            if ends_block {
+            ) {
                 break;
             }
-            pc = pc.wrapping_add(ilen);
-        }
-        if ops.is_empty() {
-            self.cursor = None;
-            self.stats.interp_fallbacks += 1;
-            return None;
+            pc = pc.wrapping_add(op.ilen);
         }
         self.stats.translations += 1;
         self.stats.translated_ops += ops.len() as u64;
@@ -652,7 +628,7 @@ impl BlockCache {
         // cache at `BLOCK_SLOTS` without a capacity flush.
         self.slots[Self::slot_of(start)] = Some(Arc::clone(&block));
         self.cursor = Some((Arc::clone(&block), 1));
-        Some(block)
+        Ok(block)
     }
 }
 

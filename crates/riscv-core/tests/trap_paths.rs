@@ -1,6 +1,7 @@
 //! Trap-path coverage: bus faults at every access size, misaligned
 //! accesses straddling the end of mapped memory, `Trap` display
-//! formatting, watchdog exhaustion, and snapshot→restore round trips.
+//! formatting, watchdog exhaustion, snapshot→restore round trips, and
+//! mid-loop bus faults leaving the same state on every execution path.
 
 use pulp_asm::Asm;
 use pulp_isa::instr::{Instr, LoadKind, StoreKind};
@@ -282,4 +283,110 @@ fn snapshot_restore_round_trip_reproduces_the_run() {
         replay.perf.ledger.total(),
         "ledger invariant must survive restore"
     );
+}
+
+/// How [`drive`] executes a program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// `step()` with no block cache: each op decoded afresh.
+    Interp,
+    /// `step()` through the decoded-block cache, one op per call.
+    CachedStep,
+    /// `run()`: cached blocks, burst-eligible runs retired batched.
+    Run,
+}
+
+/// Executes until `ecall` or the first trap.
+fn drive(core: &mut Core, mem: &mut SliceMem, path: Path) -> Result<(), Trap> {
+    if path == Path::Run {
+        return core.run(mem, 100_000).map(|exit| assert!(exit.halted));
+    }
+    for _ in 0..100_000 {
+        if core.step(mem)? {
+            return Ok(());
+        }
+    }
+    panic!("{path:?}: program did not halt");
+}
+
+/// A bus fault on a burst-eligible `p.lw` / `p.sw` midway through a
+/// hardware loop leaves identical pc, registers and counters (ledger,
+/// misalign stalls and the faulting access's partial count included)
+/// whether the ops are interpreted, stepped from the block cache or
+/// retired in batches by `run()`; and on every path a resumed run
+/// re-executes the faulting op.
+#[test]
+fn mid_loop_bus_faults_leave_identical_state_on_every_path() {
+    use pulp_isa::instr::LoopIdx;
+    use riscv_core::CycleClass;
+    const TRIPS: u32 = 8;
+    // The pointer walks up to the end of memory 4 bytes a step from a
+    // half-word offset: every access straddles a word boundary (one
+    // misalign stall each) and the fifth one leaves mapped memory.
+    const START: u32 = LEN as u32 - 4 * 5 + 2;
+    for store in [false, true] {
+        let mut a = Asm::new(BASE);
+        a.li(Reg::A0, 0);
+        a.li(Reg::T0, TRIPS as i32);
+        a.li(Reg::A1, START as i32);
+        a.lp_setup(LoopIdx::L0, Reg::T0, "end");
+        if store {
+            a.addi(Reg::A0, Reg::A0, 3);
+            a.label("access");
+            a.p_sw_postinc(Reg::A0, 4, Reg::A1);
+        } else {
+            a.label("access");
+            a.p_lw_postinc(Reg::T1, 4, Reg::A1);
+            a.add(Reg::A0, Reg::A0, Reg::T1);
+        }
+        a.label("end");
+        a.ecall();
+        let prog = a.assemble().expect("assembly failed");
+        let access = prog.symbol("access").expect("label");
+
+        let runs = [Path::Interp, Path::CachedStep, Path::Run].map(|path| {
+            let mut mem = SliceMem::new(BASE, LEN);
+            mem.load_program(&prog);
+            for (i, b) in mem.as_bytes_mut()[0x800..].iter_mut().enumerate() {
+                *b = (i as u8).wrapping_mul(37) ^ 0x5a;
+            }
+            let mut core = Core::new(IsaConfig::xpulpnn());
+            if path != Path::Interp {
+                core.enable_fastpath();
+            }
+            core.pc = prog.base;
+            let trap = drive(&mut core, &mut mem, path).unwrap_err();
+            let at_trap = (trap, core.pc, core.regs, core.perf);
+            // Point the walk back into memory and resume.
+            core.set_reg(Reg::A1, 0x800);
+            drive(&mut core, &mut mem, path).expect("resumed run halts");
+            (at_trap, core.regs, core.perf, mem.as_bytes().to_vec())
+        });
+        assert_eq!(
+            runs[0], runs[1],
+            "cached step vs interpreter (store={store})"
+        );
+        assert_eq!(runs[0], runs[2], "run() vs interpreter (store={store})");
+
+        let ((trap, pc, _, perf), _, end_perf, _) = &runs[0];
+        assert_eq!(*pc, access, "the trap leaves pc on the faulting op");
+        assert_eq!(
+            *trap,
+            Trap::Bus {
+                pc: access,
+                error: BusError {
+                    addr: START + 16,
+                    size: 4,
+                    write: store
+                }
+            }
+        );
+        assert_eq!(perf.ledger.get(CycleClass::MisalignStall), 5);
+        assert_eq!(perf.cycles, perf.ledger.total());
+        // The faulting access is counted once when it faults and once
+        // more when the resumed run re-executes it.
+        let accesses = |p: &riscv_core::PerfCounters| if store { p.stores } else { p.loads };
+        assert_eq!(accesses(perf), 5);
+        assert_eq!(accesses(end_perf), u64::from(TRIPS) + 1);
+    }
 }

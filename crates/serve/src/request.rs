@@ -9,7 +9,7 @@
 //! — never of scheduling — which is what makes a (seed, trace) pair
 //! replay bit-identically across worker counts.
 
-use riscv_core::{PerfCounters, Trap};
+use riscv_core::PerfCounters;
 use std::fmt;
 
 /// The kernel variant a request selects: operand precision plus the
@@ -166,85 +166,11 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// How a fault was detected mid-request (the serving twin of the
-/// network layer's `FaultDetection`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Detection {
-    /// The run trapped (watchdog included).
-    Trap(Trap),
-    /// The run halted but the output mismatched the golden model.
-    Sdc,
-}
-
-impl fmt::Display for Detection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Detection::Trap(t) => write!(f, "trap: {t}"),
-            Detection::Sdc => write!(f, "silent data corruption"),
-        }
-    }
-}
-
-/// Per-request outcome, mirroring `Network::run_with_policy`'s ladder:
-/// a poisoned request degrades to the golden-software fallback — it
-/// never kills its worker, which re-forks from the template.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Outcome {
-    /// Clean run, output verified against the golden model.
-    Ok,
-    /// Faults were injected but the verified output still matched.
-    Masked {
-        /// Number of flips applied.
-        flips: usize,
-    },
-    /// A fault was detected; a cold re-fork + retry produced a
-    /// verified output.
-    Recovered {
-        /// How the fault was detected.
-        detection: Detection,
-        /// Retries consumed (≥ 1).
-        retries: u32,
-    },
-    /// Retries exhausted; the response carries the golden software
-    /// output instead of a device run.
-    Degraded {
-        /// How the fault was detected.
-        detection: Detection,
-    },
-}
-
-impl Outcome {
-    /// True when the device (not the software fallback) produced the
-    /// output.
-    pub fn device_served(&self) -> bool {
-        !matches!(self, Outcome::Degraded { .. })
-    }
-
-    /// Stable label used by reports and the response digest.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Outcome::Ok => "ok",
-            Outcome::Masked { .. } => "masked",
-            Outcome::Recovered { .. } => "recovered",
-            Outcome::Degraded { .. } => "degraded",
-        }
-    }
-}
-
-impl fmt::Display for Outcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Outcome::Ok => write!(f, "ok"),
-            Outcome::Masked { flips } => write!(f, "masked ({flips} flips)"),
-            Outcome::Recovered { detection, retries } => {
-                write!(f, "recovered after {retries} retry(ies) [{detection}]")
-            }
-            Outcome::Degraded { detection } => {
-                write!(f, "degraded to golden fallback [{detection}]")
-            }
-        }
-    }
-}
+/// How a fault was detected mid-request, and the per-request
+/// outcome ladder: a poisoned request degrades to the golden-software
+/// fallback — it never kills its worker, which re-forks from the
+/// template. The same types as `Network::run_with_policy`'s.
+pub use faultsim::{Detection, Outcome};
 
 /// One served request's result.
 #[derive(Debug, Clone)]
