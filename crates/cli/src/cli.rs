@@ -4,6 +4,7 @@ use std::fmt::Write as _;
 use xpulpnn::pulp_asm::text::parse;
 use xpulpnn::pulp_isa::compressed::code_size_report;
 use xpulpnn::pulp_isa::reg::ALL_REGS;
+use xpulpnn::pulp_kernels::cluster::MAX_HARTS;
 use xpulpnn::pulp_soc::Soc;
 use xpulpnn::riscv_core::{IsaConfig, Trap};
 use xpulpnn::{BitWidth, KernelIsa};
@@ -169,11 +170,183 @@ fn err(msg: impl Into<String>) -> CliError {
 
 /// A runtime failure: the arguments were fine, the work failed
 /// (exit code 1, no USAGE dump burying the actual diagnostic).
-fn fail(msg: impl Into<String>) -> CliError {
+fn fail(msg: impl std::fmt::Display) -> CliError {
     CliError {
-        message: msg.into(),
+        message: msg.to_string(),
         usage: false,
     }
+}
+
+/// How a flag's value is checked before any command sees it.
+#[derive(Debug, Clone, Copy)]
+enum Check {
+    /// A switch: the flag takes no value.
+    Switch,
+    /// An unsigned integer in `lo..=hi`.
+    Int(u64, u64),
+    /// A power of two in `lo..=hi`.
+    Pow2(u64, u64),
+    /// One of the named choices.
+    Choice(&'static [&'static str]),
+    /// Any string.
+    Text,
+}
+
+const ANY: Check = Check::Int(0, u64::MAX);
+const BITS: Check = Check::Choice(&["8", "4", "2"]);
+const KERNEL_ISA: Check = Check::Choice(&["xpulpv2", "xpulpnn"]);
+const WORKERS: Check = Check::Int(1, 16);
+
+impl Check {
+    fn accepts(self, v: &str) -> bool {
+        match self {
+            Check::Switch | Check::Text => true,
+            Check::Int(lo, hi) => v.parse().is_ok_and(|n| (lo..=hi).contains(&n)),
+            Check::Pow2(lo, hi) => v
+                .parse::<u64>()
+                .is_ok_and(|n| n.is_power_of_two() && (lo..=hi).contains(&n)),
+            Check::Choice(names) => names.contains(&v),
+        }
+    }
+
+    fn want(self) -> String {
+        match self {
+            Check::Int(0, u64::MAX) => "an unsigned integer".to_string(),
+            Check::Int(lo, u64::MAX) => format!("an integer >= {lo}"),
+            Check::Int(lo, hi) => format!("an integer in {lo}..={hi}"),
+            Check::Pow2(lo, hi) => format!("a power of two in {lo}..={hi}"),
+            Check::Choice(names) => names.join("|"),
+            Check::Switch | Check::Text => "a value".to_string(),
+        }
+    }
+}
+
+/// The positional argument's name in a flag table.
+const FILE: &str = "<file.s>";
+
+/// One entry of a subcommand's flag table: a `--flag`, or [`FILE`]
+/// when the subcommand takes an input file.
+#[derive(Debug, Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    check: Check,
+    /// Entries that must also be given, each as `--flag`, or as
+    /// `--flag value` when that flag must have that value.
+    requires: &'static [&'static str],
+    /// Entries that must not be given alongside this one.
+    excludes: &'static [&'static str],
+}
+
+const fn flag(name: &'static str, check: Check) -> Flag {
+    Flag {
+        name,
+        check,
+        requires: &[],
+        excludes: &[],
+    }
+}
+
+impl Flag {
+    const fn requires(self, requires: &'static [&'static str]) -> Flag {
+        Flag { requires, ..self }
+    }
+
+    const fn excludes(self, excludes: &'static [&'static str]) -> Flag {
+        Flag { excludes, ..self }
+    }
+}
+
+/// A command line checked against its flag table: `(entry, value)`
+/// pairs in command-line order, switches carrying `""`.
+struct Args<'a>(Vec<(&'static str, &'a str)>);
+
+/// Walks `args` against `table`. Every malformed command line is a
+/// usage error: a missing, malformed or out-of-range value, an argument
+/// not in the table, or a requires/excludes conflict.
+fn parse_args<'a>(table: &[Flag], args: &'a [String]) -> Result<Args<'a>, CliError> {
+    let mut out = Args(Vec::new());
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        // A bare argument is the input file, given at most once.
+        let name = Some(a.as_str())
+            .filter(|a| a.starts_with("--"))
+            .unwrap_or(FILE);
+        let f = table
+            .iter()
+            .find(|f| f.name == name && !(name == FILE && out.has(FILE)))
+            .ok_or_else(|| err(format!("unknown argument `{a}`")))?;
+        let value = match f.check {
+            _ if name == FILE => a.as_str(),
+            Check::Switch => "",
+            check => {
+                let v = it.next().ok_or_else(|| err(format!("{a} needs a value")))?;
+                if !check.accepts(v) {
+                    return Err(err(format!("bad {a} `{v}` (want {})", check.want())));
+                }
+                v
+            }
+        };
+        out.0.push((f.name, value));
+    }
+    for f in table.iter().filter(|f| out.has(f.name)) {
+        for req in f.requires {
+            let met = match req.split_once(' ') {
+                Some((name, want)) => out.get(name) == Some(want),
+                None => out.has(req),
+            };
+            if !met {
+                return Err(err(format!("{} requires {req}", f.name)));
+            }
+        }
+        if let Some(x) = f.excludes.iter().find(|x| out.has(x)) {
+            return Err(err(format!("{} and {x} are mutually exclusive", f.name)));
+        }
+    }
+    Ok(out)
+}
+
+impl<'a> Args<'a> {
+    /// The last value given for `name`.
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.0
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, v)| v)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// The value of a numeric flag, converted to the field's type.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.get(name)
+            .map(|v| v.parse().map_err(|_| err(format!("bad {name} `{v}`"))))
+            .transpose()
+    }
+
+    /// The input file, for subcommands that require one.
+    fn file(&self) -> Result<&'a str, CliError> {
+        self.get(FILE)
+            .ok_or_else(|| err(format!("missing input file {FILE}")))
+    }
+}
+
+/// The paper-layer kernel `--bits`/`--isa`/`--sw-quant` select, with
+/// `pv.qnt` dropped where it cannot exist (8-bit or XpulpV2 kernels).
+fn paper_kernel(a: &Args) -> (BitWidth, KernelIsa, bool) {
+    let bits = match a.get("--bits") {
+        Some("8") => BitWidth::W8,
+        Some("2") => BitWidth::W2,
+        _ => BitWidth::W4,
+    };
+    let isa = match a.get("--isa") {
+        Some("xpulpv2") => KernelIsa::XpulpV2,
+        _ => KernelIsa::XpulpNN,
+    };
+    let hw_quant = !a.has("--sw-quant") && isa == KernelIsa::XpulpNN && bits != BitWidth::W8;
+    (bits, isa, hw_quant)
 }
 
 /// Parsed options for `run`.
@@ -194,111 +367,56 @@ pub struct RunOpts {
     pub vlen: Option<u32>,
 }
 
+const RUN: &[Flag] = &[
+    flag(FILE, Check::Text),
+    flag("--isa", Check::Choice(&["rv32im", "xpulpv2", "xpulpnn"])),
+    flag("--backend", Check::Choice(&["simd", "vector"])).excludes(&["--isa"]),
+    flag("--vlen", Check::Pow2(32, 256)).requires(&["--backend vector"]),
+    flag("--max-cycles", ANY),
+    flag("--trace", Check::Switch),
+    flag("--cores", Check::Int(1, 8)),
+];
+
 /// Parses the flags of the `run` subcommand.
 pub fn parse_run_opts(args: &[String]) -> Result<RunOpts, CliError> {
-    let mut path = None;
-    let mut isa = IsaConfig::xpulpnn();
-    let mut max_cycles = 100_000_000u64;
-    let mut trace = false;
-    let mut cores = 1usize;
-    let mut vlen = None;
-    let mut isa_set = false;
-    let mut backend_set = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--trace" => trace = true,
-            "--cores" => {
-                let v = it.next().ok_or_else(|| err("--cores needs a value"))?;
-                cores = v
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=8).contains(n))
-                    .ok_or_else(|| err(format!("bad core count `{v}` (want 1..8)")))?;
-            }
-            "--isa" => {
-                let v = it.next().ok_or_else(|| err("--isa needs a value"))?;
-                isa = match v.as_str() {
-                    "rv32im" => IsaConfig::rv32im(),
-                    "xpulpv2" => IsaConfig::xpulpv2(),
-                    "xpulpnn" => IsaConfig::xpulpnn(),
-                    other => return Err(err(format!("unknown ISA `{other}`"))),
-                };
-                isa_set = true;
-            }
-            "--backend" => {
-                let v = it.next().ok_or_else(|| err("--backend needs a value"))?;
-                isa = match v.as_str() {
-                    "simd" => IsaConfig::xpulpnn(),
-                    "vector" => IsaConfig::vector(),
-                    other => {
-                        return Err(err(format!("unknown backend `{other}` (want simd|vector)")))
-                    }
-                };
-                backend_set = true;
-            }
-            "--vlen" => {
-                let v = it.next().ok_or_else(|| err("--vlen needs a value"))?;
-                vlen = Some(
-                    v.parse::<u32>()
-                        .ok()
-                        .filter(|n| n.is_power_of_two() && (32..=256).contains(n))
-                        .ok_or_else(|| {
-                            err(format!("bad VLEN `{v}` (want a power of two in 32..=256)"))
-                        })?,
-                );
-            }
-            "--max-cycles" => {
-                let v = it.next().ok_or_else(|| err("--max-cycles needs a value"))?;
-                max_cycles = v
-                    .parse()
-                    .map_err(|_| err(format!("bad cycle count `{v}`")))?;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(err(format!("unknown flag `{flag}`")));
-            }
-            p => {
-                if path.replace(p.to_string()).is_some() {
-                    return Err(err("multiple input files"));
-                }
-            }
-        }
-    }
-    if trace && cores > 1 {
-        return Err(err("--trace is single-core only (use --cores 1)"));
-    }
-    if isa_set && backend_set {
-        return Err(err("--isa and --backend are mutually exclusive"));
-    }
-    if vlen.is_some() && !isa.rvv {
-        return Err(err("--vlen requires --backend vector"));
-    }
-    if vlen.is_some() && cores > 1 {
-        return Err(err("--vlen is single-core only (use --cores 1)"));
+    let a = parse_args(RUN, args)?;
+    let isa = match (a.get("--isa"), a.get("--backend")) {
+        (Some("rv32im"), _) => IsaConfig::rv32im(),
+        (Some("xpulpv2"), _) => IsaConfig::xpulpv2(),
+        (_, Some("vector")) => IsaConfig::vector(),
+        _ => IsaConfig::xpulpnn(),
+    };
+    let cores = a.num("--cores")?.unwrap_or(1);
+    if let Some(f) = ["--trace", "--vlen"]
+        .into_iter()
+        .find(|f| cores > 1 && a.has(f))
+    {
+        return Err(err(format!("{f} is single-core only (use --cores 1)")));
     }
     Ok(RunOpts {
-        path: path.ok_or_else(|| err("run needs an input file"))?,
+        path: a.file()?.to_string(),
         isa,
-        max_cycles,
-        trace,
+        max_cycles: a.num("--max-cycles")?.unwrap_or(100_000_000),
+        trace: a.has("--trace"),
         cores,
-        vlen,
+        vlen: a.num("--vlen")?,
     })
 }
 
+/// `sweep` and `report`: a tensor seed only.
+const SEED: &[Flag] = &[flag("--seed", ANY)];
+
 fn parse_seed(args: &[String]) -> Result<u64, CliError> {
-    let mut seed = 42u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    Ok(seed)
+    Ok(parse_args(SEED, args)?.num("--seed")?.unwrap_or(42))
+}
+
+/// Writes a `BENCH_*.json` artifact into `dir`, returning the line
+/// that reports it.
+fn write_artifact(dir: &str, name: &str, json: &str) -> Result<String, CliError> {
+    let path = std::path::Path::new(dir).join(name);
+    std::fs::write(&path, format!("{json}\n"))
+        .map_err(|e| fail(format!("cannot write `{}`: {e}", path.display())))?;
+    Ok(format!("wrote {}\n", path.display()))
 }
 
 fn load_program(path: &str) -> Result<xpulpnn::pulp_asm::Program, CliError> {
@@ -371,7 +489,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
 fn run_spmd_report(opts: &RunOpts, prog: &xpulpnn::pulp_asm::Program) -> Result<String, CliError> {
     let r =
         xpulpnn::pulp_cluster::run_spmd(opts.isa, opts.cores, prog, opts.max_cycles, opts.cores)
-            .map_err(|e| fail(e.to_string()))?;
+            .map_err(fail)?;
     let mut out = String::new();
     let _ = writeln!(out, "exit codes: {:?}", r.exit_codes);
     let _ = writeln!(out, "cycles    : {}", r.clock);
@@ -410,82 +528,43 @@ pub struct ClusterOpts {
     pub threads: usize,
 }
 
+const CLUSTER: &[Flag] = &[
+    flag("--cores", Check::Int(1, 8)),
+    flag("--bits", BITS),
+    flag("--isa", KERNEL_ISA),
+    flag("--sw-quant", Check::Switch),
+    flag("--seed", ANY),
+    flag("--threads", Check::Int(1, u64::MAX)),
+];
+
 /// Parses the flags of the `cluster` subcommand.
 pub fn parse_cluster_opts(args: &[String]) -> Result<ClusterOpts, CliError> {
-    let mut o = ClusterOpts {
-        cores: 8,
-        bits: BitWidth::W4,
-        isa: KernelIsa::XpulpNN,
-        hw_quant: true,
-        seed: 42,
-        threads: 0, // 0 = match --cores
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--cores" => {
-                let v = it.next().ok_or_else(|| err("--cores needs a value"))?;
-                o.cores = v
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=8).contains(n))
-                    .ok_or_else(|| err(format!("bad core count `{v}` (want 1..8)")))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or_else(|| err("--threads needs a value"))?;
-                o.threads = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| err(format!("bad thread count `{v}`")))?;
-            }
-            "--bits" => {
-                let v = it.next().ok_or_else(|| err("--bits needs a value"))?;
-                o.bits = match v.as_str() {
-                    "8" => BitWidth::W8,
-                    "4" => BitWidth::W4,
-                    "2" => BitWidth::W2,
-                    other => return Err(err(format!("unknown width `{other}`"))),
-                };
-            }
-            "--isa" => {
-                let v = it.next().ok_or_else(|| err("--isa needs a value"))?;
-                o.isa = match v.as_str() {
-                    "xpulpv2" => KernelIsa::XpulpV2,
-                    "xpulpnn" => KernelIsa::XpulpNN,
-                    other => return Err(err(format!("unknown ISA `{other}`"))),
-                };
-            }
-            "--sw-quant" => o.hw_quant = false,
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                o.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    if o.isa == KernelIsa::XpulpV2 || o.bits == BitWidth::W8 {
-        o.hw_quant = false; // pv.qnt exists only on sub-byte XpulpNN kernels
-    }
-    if o.threads == 0 {
-        o.threads = o.cores;
-    }
-    Ok(o)
+    let a = parse_args(CLUSTER, args)?;
+    let (bits, isa, hw_quant) = paper_kernel(&a);
+    let cores = a.num("--cores")?.unwrap_or(8);
+    Ok(ClusterOpts {
+        cores,
+        bits,
+        isa,
+        hw_quant,
+        seed: a.num("--seed")?.unwrap_or(42),
+        threads: a.num("--threads")?.unwrap_or(cores),
+    })
 }
 
 fn cmd_cluster(args: &[String]) -> Result<String, CliError> {
     let o = parse_cluster_opts(args)?;
     let cfg = xpulpnn::ConvKernelConfig::paper(o.bits, o.isa, o.hw_quant);
-    let tb = xpulpnn::pulp_cluster::ClusterConvTestbench::new(cfg, o.cores, o.seed)
-        .map_err(|e| fail(e.to_string()))?;
-    let r = tb.run(o.threads).map_err(|e| fail(e.to_string()))?;
+    let tb =
+        xpulpnn::pulp_cluster::ClusterConvTestbench::new(cfg, o.cores, o.seed).map_err(fail)?;
+    let r = tb.run(o.threads).map_err(fail)?;
     if !r.matches() {
         return Err(fail(format!(
             "{}: cluster output diverged from the golden model",
             cfg.name()
         )));
     }
-    let single = xpulpnn::measure::measure(cfg, o.seed).map_err(|e| fail(e.to_string()))?;
+    let single = xpulpnn::measure::measure(cfg, o.seed).map_err(fail)?;
     let mut out = String::new();
     let _ = writeln!(out, "kernel      : {} on {} core(s)", cfg.name(), o.cores);
     let _ = writeln!(out, "output      : matches golden model (bit-exact)");
@@ -537,31 +616,22 @@ pub struct BenchOpts {
     pub out_dir: String,
 }
 
+const BENCH: &[Flag] = &[
+    flag("--json", Check::Switch),
+    flag("--host", Check::Switch),
+    flag("--seed", ANY),
+    flag("--out", Check::Text),
+];
+
 /// Parses the flags of the `bench` subcommand.
 pub fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, CliError> {
-    let mut o = BenchOpts {
-        json: false,
-        host: false,
-        seed: 42,
-        out_dir: ".".to_string(),
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => o.json = true,
-            "--host" => o.host = true,
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                o.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--out" => {
-                let v = it.next().ok_or_else(|| err("--out needs a directory"))?;
-                o.out_dir = v.clone();
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    Ok(o)
+    let a = parse_args(BENCH, args)?;
+    Ok(BenchOpts {
+        json: a.has("--json"),
+        host: a.has("--host"),
+        seed: a.num("--seed")?.unwrap_or(42),
+        out_dir: a.get("--out").unwrap_or(".").to_string(),
+    })
 }
 
 fn cmd_bench(args: &[String]) -> Result<String, CliError> {
@@ -569,14 +639,12 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     if o.host {
         return cmd_bench_host(&o);
     }
-    let records = xpulpnn::bench::paper_bench_suite(o.seed).map_err(|e| fail(e.to_string()))?;
+    let records = xpulpnn::bench::paper_bench_suite(o.seed).map_err(fail)?;
     let mut out = String::new();
     if o.json {
         for r in &records {
-            let path = std::path::Path::new(&o.out_dir).join(format!("BENCH_{}.json", r.label));
-            std::fs::write(&path, format!("{}\n", r.to_json()))
-                .map_err(|e| fail(format!("cannot write `{}`: {e}", path.display())))?;
-            let _ = writeln!(out, "wrote {}", path.display());
+            let name = format!("BENCH_{}.json", r.label);
+            out.push_str(&write_artifact(&o.out_dir, &name, &r.to_json())?);
         }
         return Ok(out);
     }
@@ -599,10 +667,8 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
 /// `bench --host`: time the simulator itself on the Fig. 8 layer,
 /// interpreted vs. fast path, and write `BENCH_host_throughput.json`.
 fn cmd_bench_host(o: &BenchOpts) -> Result<String, CliError> {
-    let r = xpulpnn::bench::host_throughput(o.seed).map_err(|e| fail(e.to_string()))?;
-    let path = std::path::Path::new(&o.out_dir).join("BENCH_host_throughput.json");
-    std::fs::write(&path, format!("{}\n", r.to_json()))
-        .map_err(|e| fail(format!("cannot write `{}`: {e}", path.display())))?;
+    let r = xpulpnn::bench::host_throughput(o.seed).map_err(fail)?;
+    let wrote = write_artifact(&o.out_dir, "BENCH_host_throughput.json", &r.to_json())?;
     let mut out = String::new();
     let _ = writeln!(out, "kernel          : {}", r.kernel);
     let _ = writeln!(
@@ -628,21 +694,20 @@ fn cmd_bench_host(o: &BenchOpts) -> Result<String, CliError> {
         "block cache     : {:.4} hit rate, {} blocks translated, {} interp fallbacks, {} invalidations",
         r.hit_rate, r.translations, r.interp_fallbacks, r.invalidations
     );
-    let _ = writeln!(out, "wrote {}", path.display());
+    out.push_str(&wrote);
     Ok(out)
 }
 
+/// `dis` and `codesize`: one input file, no flags.
+const FILE_ONLY: &[Flag] = &[flag(FILE, Check::Text)];
+
 fn cmd_dis(args: &[String]) -> Result<String, CliError> {
-    let path = args.first().ok_or_else(|| err("dis needs an input file"))?;
-    let prog = load_program(path)?;
+    let prog = load_program(parse_args(FILE_ONLY, args)?.file()?)?;
     Ok(prog.listing())
 }
 
 fn cmd_codesize(args: &[String]) -> Result<String, CliError> {
-    let path = args
-        .first()
-        .ok_or_else(|| err("codesize needs an input file"))?;
-    let prog = load_program(path)?;
+    let prog = load_program(parse_args(FILE_ONLY, args)?.file()?)?;
     let r = code_size_report(prog.instrs.iter());
     Ok(format!(
         "instructions        : {}\ncompressible (RVC)  : {}\nbytes (32-bit only) : {}\nbytes (with RVC)    : {}\nsavings             : {:.1}%\n",
@@ -656,7 +721,7 @@ fn cmd_codesize(args: &[String]) -> Result<String, CliError> {
 
 fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
     let seed = parse_seed(args)?;
-    let m = xpulpnn::experiments::collect(seed).map_err(|e| fail(e.to_string()))?;
+    let m = xpulpnn::experiments::collect(seed).map_err(fail)?;
     Ok(format!(
         "{}\n{}",
         xpulpnn::experiments::figure6(&m),
@@ -666,7 +731,7 @@ fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
 
 fn cmd_report(args: &[String]) -> Result<String, CliError> {
     let seed = parse_seed(args)?;
-    let r = xpulpnn::experiments::run_all(seed).map_err(|e| fail(e.to_string()))?;
+    let r = xpulpnn::experiments::run_all(seed).map_err(fail)?;
     Ok(format!("{r}\n"))
 }
 
@@ -685,95 +750,46 @@ pub struct ProfileOpts {
     pub top: usize,
 }
 
+const PROFILE: &[Flag] = &[
+    flag("--bits", BITS),
+    flag("--isa", KERNEL_ISA),
+    flag("--sw-quant", Check::Switch),
+    flag("--seed", ANY),
+    flag("--top", ANY),
+];
+
 /// Parses the flags of the `profile` subcommand.
 pub fn parse_profile_opts(args: &[String]) -> Result<ProfileOpts, CliError> {
-    let mut o = ProfileOpts {
-        bits: BitWidth::W4,
-        isa: KernelIsa::XpulpNN,
-        hw_quant: true,
-        seed: 42,
-        top: 10,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--bits" => {
-                let v = it.next().ok_or_else(|| err("--bits needs a value"))?;
-                o.bits = match v.as_str() {
-                    "8" => BitWidth::W8,
-                    "4" => BitWidth::W4,
-                    "2" => BitWidth::W2,
-                    other => return Err(err(format!("unknown width `{other}`"))),
-                };
-            }
-            "--isa" => {
-                let v = it.next().ok_or_else(|| err("--isa needs a value"))?;
-                o.isa = match v.as_str() {
-                    "xpulpv2" => KernelIsa::XpulpV2,
-                    "xpulpnn" => KernelIsa::XpulpNN,
-                    other => return Err(err(format!("unknown ISA `{other}`"))),
-                };
-            }
-            "--sw-quant" => o.hw_quant = false,
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                o.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--top" => {
-                let v = it.next().ok_or_else(|| err("--top needs a value"))?;
-                o.top = v.parse().map_err(|_| err(format!("bad count `{v}`")))?;
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    if o.isa == KernelIsa::XpulpV2 || o.bits == BitWidth::W8 {
-        o.hw_quant = false; // pv.qnt exists only on sub-byte XpulpNN kernels
-    }
-    Ok(o)
+    let a = parse_args(PROFILE, args)?;
+    let (bits, isa, hw_quant) = paper_kernel(&a);
+    Ok(ProfileOpts {
+        bits,
+        isa,
+        hw_quant,
+        seed: a.num("--seed")?.unwrap_or(42),
+        top: a.num("--top")?.unwrap_or(10),
+    })
 }
 
 fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let o = parse_profile_opts(args)?;
     let p = xpulpnn::measure::profile_paper_layer(o.bits, o.isa, o.hw_quant, o.seed, o.top)
-        .map_err(|e| fail(e.to_string()))?;
+        .map_err(fail)?;
     Ok(format!("{}\n", p.to_json()))
 }
 
+const LINT: &[Flag] = &[
+    flag(FILE, Check::Text),
+    flag("--races", Check::Switch).excludes(&[FILE]),
+    flag("--cores", Check::Int(1, MAX_HARTS as u64)).requires(&["--races"]),
+];
+
 fn cmd_lint(args: &[String]) -> Result<String, CliError> {
-    let mut path = None;
-    let mut races = false;
-    let mut cores = 8usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--races" => races = true,
-            "--cores" => {
-                let v = it.next().ok_or_else(|| err("--cores needs a value"))?;
-                cores = v
-                    .parse()
-                    .map_err(|_| err(format!("bad core count `{v}`")))?;
-                if !(1..=xpulpnn::pulp_kernels::cluster::MAX_HARTS).contains(&cores) {
-                    return Err(err(format!(
-                        "core count must be 1..={}",
-                        xpulpnn::pulp_kernels::cluster::MAX_HARTS
-                    )));
-                }
-            }
-            _ if a.starts_with("--") => return Err(err(format!("unknown flag `{a}`"))),
-            _ => {
-                if path.replace(a.as_str()).is_some() {
-                    return Err(err("multiple input files"));
-                }
-            }
-        }
+    let a = parse_args(LINT, args)?;
+    if a.has("--races") {
+        return cmd_lint_races(a.num("--cores")?.unwrap_or(8));
     }
-    if races {
-        if path.is_some() {
-            return Err(err("--races lints the shipped kernels, not a file"));
-        }
-        return cmd_lint_races(cores);
-    }
-    if let Some(p) = path {
+    if let Some(p) = a.get(FILE) {
         // Lint one assembly file. No tensor regions are declared, so
         // memory checks report as unproven rather than diagnostics.
         let prog = load_program(p)?;
@@ -787,8 +803,8 @@ fn cmd_lint(args: &[String]) -> Result<String, CliError> {
     }
     // No file: lint every shipped kernel against its declared regions,
     // plus the eight parallel cluster kernels (8-hart split).
-    let mut kernels = xpulpnn::lint::shipped_kernels().map_err(|e| fail(e.to_string()))?;
-    kernels.extend(xpulpnn::lint::cluster_kernels(8).map_err(|e| fail(e.to_string()))?);
+    let mut kernels = xpulpnn::lint::shipped_kernels().map_err(fail)?;
+    kernels.extend(xpulpnn::lint::cluster_kernels(8).map_err(fail)?);
     let mut out = String::new();
     let mut dirty = 0usize;
     for k in &kernels {
@@ -812,7 +828,7 @@ fn cmd_lint(args: &[String]) -> Result<String, CliError> {
 /// SPMD analyzer — single-core kernels trivially, cluster kernels by
 /// per-hart abstract execution over their dispatch/DMA contracts.
 fn cmd_lint_races(cores: usize) -> Result<String, CliError> {
-    let kernels = xpulpnn::lint::race_kernels(cores).map_err(|e| fail(e.to_string()))?;
+    let kernels = xpulpnn::lint::race_kernels(cores).map_err(fail)?;
     let mut out = String::new();
     let mut dirty = 0usize;
     for k in &kernels {
@@ -856,90 +872,72 @@ pub struct ConformanceOpts {
     pub vector: bool,
 }
 
+const CONFORMANCE: &[Flag] = &[
+    flag("--cases", ANY),
+    flag("--seed", ANY),
+    flag("--vector", Check::Switch).excludes(&["--crossval", "--fastpath", "--races"]),
+    flag("--crossval", Check::Switch).excludes(&["--fastpath", "--races"]),
+    flag("--fastpath", Check::Switch).excludes(&["--races"]),
+    flag("--races", Check::Switch),
+];
+
 /// Parses the flags of the `conformance` subcommand.
 pub fn parse_conformance_opts(args: &[String]) -> Result<ConformanceOpts, CliError> {
-    let mut o = ConformanceOpts {
-        cases: 1000,
-        seed: 1,
-        crossval: false,
-        fastpath: false,
-        races: false,
-        vector: false,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--crossval" => o.crossval = true,
-            "--fastpath" => o.fastpath = true,
-            "--races" => o.races = true,
-            "--vector" => o.vector = true,
-            "--cases" => {
-                let v = it.next().ok_or_else(|| err("--cases needs a value"))?;
-                o.cases = v
-                    .parse()
-                    .map_err(|_| err(format!("bad case count `{v}`")))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                o.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    if (o.crossval as u8) + (o.fastpath as u8) + (o.races as u8) + (o.vector as u8) > 1 {
-        return Err(err(
-            "--vector, --crossval, --fastpath and --races are mutually exclusive",
-        ));
-    }
-    Ok(o)
+    let a = parse_args(CONFORMANCE, args)?;
+    Ok(ConformanceOpts {
+        cases: a.num("--cases")?.unwrap_or(1000),
+        seed: a.num("--seed")?.unwrap_or(1),
+        crossval: a.has("--crossval"),
+        fastpath: a.has("--fastpath"),
+        races: a.has("--races"),
+        vector: a.has("--vector"),
+    })
 }
 
 fn cmd_conformance(args: &[String]) -> Result<String, CliError> {
+    use xpulpnn::conformance::{DiffConfig, FastDiffConfig, GenConfig};
     let o = parse_conformance_opts(args)?;
     if o.races {
-        let r = xpulpnn::races::run_races(o.seed).map_err(|e| fail(e.to_string()))?;
+        let r = xpulpnn::races::run_races(o.seed).map_err(fail)?;
         return if r.passed() {
             Ok(r.render())
         } else {
             Err(fail(r.render()))
         };
     }
-    if o.fastpath {
-        let cfg = xpulpnn::conformance::FastDiffConfig::default();
-        let report = xpulpnn::conformance::run_fast_suite(o.seed, o.cases, &cfg);
-        return match report.failure {
-            None => Ok(format!(
-                "conformance --fastpath: {} cases, 0 divergences (seed {})\n",
-                report.cases_run, o.seed
-            )),
-            Some(f) => Err(fail(f.to_string())),
-        };
-    }
     if o.crossval {
-        let gen = xpulpnn::conformance::GenConfig::default();
-        let r = xpulpnn::conformance::run_crossval(o.seed, o.cases, &gen);
+        let r = xpulpnn::conformance::run_crossval(o.seed, o.cases, &GenConfig::default());
         return if r.ok() {
             Ok(format!("{r}\n"))
         } else {
-            Err(fail(r.to_string()))
+            Err(fail(r))
         };
     }
-    let cfg = xpulpnn::conformance::DiffConfig {
-        gen: if o.vector {
-            xpulpnn::conformance::GenConfig::vector()
-        } else {
-            xpulpnn::conformance::GenConfig::default()
-        },
-        ..xpulpnn::conformance::DiffConfig::default()
+    let (mode, report) = if o.fastpath {
+        let cfg = FastDiffConfig::default();
+        (
+            " --fastpath",
+            xpulpnn::conformance::run_fast_suite(o.seed, o.cases, &cfg),
+        )
+    } else if o.vector {
+        let cfg = DiffConfig {
+            gen: GenConfig::vector(),
+            ..DiffConfig::default()
+        };
+        (
+            " --vector",
+            xpulpnn::conformance::run_suite(o.seed, o.cases, &cfg),
+        )
+    } else {
+        let cfg = DiffConfig::default();
+        ("", xpulpnn::conformance::run_suite(o.seed, o.cases, &cfg))
     };
-    let report = xpulpnn::conformance::run_suite(o.seed, o.cases, &cfg);
-    let mode = if o.vector { " --vector" } else { "" };
     match report.failure {
         None => Ok(format!(
             "conformance{mode}: {} cases, 0 divergences (seed {})\n",
             report.cases_run, o.seed
         )),
-        Some(f) => Err(fail(f.to_string())),
+        Some(f) => Err(fail(f)),
     }
 }
 
@@ -959,59 +957,32 @@ pub struct FaultsOpts {
     pub cores: usize,
 }
 
+const FAULTS: &[Flag] = &[
+    flag("--seed", ANY),
+    flag("--trials", ANY),
+    flag("--replay", Check::Text),
+    flag("--cluster", Check::Switch).excludes(&["--replay"]),
+    flag("--cores", Check::Int(1, 8)).requires(&["--cluster"]),
+];
+
 /// Parses the flags of the `faults` subcommand.
 pub fn parse_faults_opts(args: &[String]) -> Result<FaultsOpts, CliError> {
-    let mut o = FaultsOpts {
-        seed: 42,
-        trials: 25,
-        replay: None,
-        cluster: false,
-        cores: 8,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--cluster" => o.cluster = true,
-            "--cores" => {
-                let v = it.next().ok_or_else(|| err("--cores needs a value"))?;
-                o.cores = v
-                    .parse()
-                    .ok()
-                    .filter(|n| (1..=8).contains(n))
-                    .ok_or_else(|| err(format!("bad core count `{v}` (want 1..8)")))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                o.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--trials" => {
-                let v = it.next().ok_or_else(|| err("--trials needs a value"))?;
-                o.trials = v
-                    .parse()
-                    .map_err(|_| err(format!("bad trial count `{v}`")))?;
-            }
-            "--replay" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--replay needs variant:trial"))?;
-                let (variant, trial) = v
-                    .split_once(':')
-                    .ok_or_else(|| err(format!("bad replay spec `{v}` (want variant:trial)")))?;
-                let variant = variant
-                    .parse()
-                    .map_err(|_| err(format!("bad variant `{variant}`")))?;
-                let trial = trial
-                    .parse()
-                    .map_err(|_| err(format!("bad trial `{trial}`")))?;
-                o.replay = Some((variant, trial));
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    if o.cluster && o.replay.is_some() {
-        return Err(err("--replay is single-core only (drop --cluster)"));
-    }
-    Ok(o)
+    let a = parse_args(FAULTS, args)?;
+    let replay = a
+        .get("--replay")
+        .map(|spec| {
+            spec.split_once(':')
+                .and_then(|(v, t)| Some((v.parse().ok()?, t.parse().ok()?)))
+                .ok_or_else(|| err(format!("bad --replay `{spec}` (want variant:trial)")))
+        })
+        .transpose()?;
+    Ok(FaultsOpts {
+        seed: a.num("--seed")?.unwrap_or(42),
+        trials: a.num("--trials")?.unwrap_or(25),
+        replay,
+        cluster: a.has("--cluster"),
+        cores: a.num("--cores")?.unwrap_or(8),
+    })
 }
 
 fn cmd_faults(args: &[String]) -> Result<String, CliError> {
@@ -1043,39 +1014,20 @@ pub struct ServeOpts {
     pub weight_seed: u64,
 }
 
+const SERVE: &[Flag] = &[
+    flag("--workers", WORKERS),
+    flag("--seed", ANY),
+    flag("--weight-seed", ANY),
+];
+
 /// Parses the flags of the `serve` subcommand.
 pub fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, CliError> {
-    let mut o = ServeOpts {
-        workers: 2,
-        seed: 1,
-        weight_seed: 42,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workers" => {
-                let v = it.next().ok_or_else(|| err("--workers needs a value"))?;
-                o.workers = v
-                    .parse()
-                    .map_err(|_| err(format!("bad worker count `{v}`")))?;
-                if !(1..=16).contains(&o.workers) {
-                    return Err(err("--workers must be 1..16"));
-                }
-            }
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                o.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--weight-seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--weight-seed needs a value"))?;
-                o.weight_seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    Ok(o)
+    let a = parse_args(SERVE, args)?;
+    Ok(ServeOpts {
+        workers: a.num("--workers")?.unwrap_or(2),
+        seed: a.num("--seed")?.unwrap_or(1),
+        weight_seed: a.num("--weight-seed")?.unwrap_or(42),
+    })
 }
 
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
@@ -1086,7 +1038,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         weight_seed: o.weight_seed,
         ..PoolConfig::default()
     })
-    .map_err(|e| fail(e.to_string()))?;
+    .map_err(fail)?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1113,7 +1065,7 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
             variant,
             input,
         })
-        .map_err(|e| fail(e.to_string()))?;
+        .map_err(fail)?;
     }
     let report = pool.shutdown();
     for r in &report.responses {
@@ -1143,85 +1095,47 @@ pub struct LoadgenOpts {
     pub out_dir: String,
 }
 
+const LOADGEN: &[Flag] = &[
+    flag("--seed", ANY),
+    flag("--requests", ANY),
+    flag("--workers", WORKERS),
+    flag("--batch", Check::Int(1, u64::MAX)),
+    flag("--queue", Check::Int(1, u64::MAX)),
+    flag("--weight-seed", ANY),
+    flag("--faults", ANY),
+    flag("--gap-us", ANY),
+    flag("--no-warm", Check::Switch),
+    flag("--out", Check::Text),
+];
+
 /// Parses the flags of the `loadgen` subcommand.
 pub fn parse_loadgen_opts(args: &[String]) -> Result<LoadgenOpts, CliError> {
-    use xpulpnn::serve::{LoadgenConfig, ServeFaults};
-    let mut cfg = LoadgenConfig::default();
-    let mut out_dir = ".".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                cfg.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--requests" => {
-                let v = it.next().ok_or_else(|| err("--requests needs a value"))?;
-                cfg.requests = v
-                    .parse()
-                    .map_err(|_| err(format!("bad request count `{v}`")))?;
-            }
-            "--workers" => {
-                let v = it.next().ok_or_else(|| err("--workers needs a value"))?;
-                cfg.workers = v
-                    .parse()
-                    .map_err(|_| err(format!("bad worker count `{v}`")))?;
-                if !(1..=16).contains(&cfg.workers) {
-                    return Err(err("--workers must be 1..16"));
-                }
-            }
-            "--batch" => {
-                let v = it.next().ok_or_else(|| err("--batch needs a value"))?;
-                cfg.batch_max = v
-                    .parse()
-                    .map_err(|_| err(format!("bad batch size `{v}`")))?;
-                if cfg.batch_max == 0 {
-                    return Err(err("--batch must be at least 1"));
-                }
-            }
-            "--queue" => {
-                let v = it.next().ok_or_else(|| err("--queue needs a value"))?;
-                cfg.queue_capacity = v
-                    .parse()
-                    .map_err(|_| err(format!("bad queue capacity `{v}`")))?;
-                if cfg.queue_capacity == 0 {
-                    return Err(err("--queue must be at least 1"));
-                }
-            }
-            "--weight-seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--weight-seed needs a value"))?;
-                cfg.weight_seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--faults" => {
-                let v = it.next().ok_or_else(|| err("--faults needs a seed"))?;
-                let seed = v
-                    .parse()
-                    .map_err(|_| err(format!("bad fault seed `{v}`")))?;
-                cfg.faults = Some(ServeFaults::always(seed));
-            }
-            "--gap-us" => {
-                let v = it.next().ok_or_else(|| err("--gap-us needs a value"))?;
-                cfg.mean_gap_us = v.parse().map_err(|_| err(format!("bad gap `{v}`")))?;
-            }
-            "--no-warm" => cfg.warm_reruns = false,
-            "--out" => {
-                let v = it.next().ok_or_else(|| err("--out needs a directory"))?;
-                out_dir = v.clone();
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    Ok(LoadgenOpts { cfg, out_dir })
+    let a = parse_args(LOADGEN, args)?;
+    let d = xpulpnn::serve::LoadgenConfig::default();
+    let cfg = xpulpnn::serve::LoadgenConfig {
+        seed: a.num("--seed")?.unwrap_or(d.seed),
+        requests: a.num("--requests")?.unwrap_or(d.requests),
+        workers: a.num("--workers")?.unwrap_or(d.workers),
+        batch_max: a.num("--batch")?.unwrap_or(d.batch_max),
+        queue_capacity: a.num("--queue")?.unwrap_or(d.queue_capacity),
+        weight_seed: a.num("--weight-seed")?.unwrap_or(d.weight_seed),
+        faults: a
+            .num("--faults")?
+            .map(xpulpnn::serve::ServeFaults::always)
+            .or(d.faults),
+        mean_gap_us: a.num("--gap-us")?.unwrap_or(d.mean_gap_us),
+        warm_reruns: d.warm_reruns && !a.has("--no-warm"),
+    };
+    Ok(LoadgenOpts {
+        cfg,
+        out_dir: a.get("--out").unwrap_or(".").to_string(),
+    })
 }
 
 fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
     let o = parse_loadgen_opts(args)?;
-    let rec = xpulpnn::bench::ServingRecord::run(o.cfg).map_err(|e| fail(e.to_string()))?;
-    let path = std::path::Path::new(&o.out_dir).join("BENCH_serving.json");
-    std::fs::write(&path, format!("{}\n", rec.to_json()))
-        .map_err(|e| fail(format!("cannot write `{}`: {e}", path.display())))?;
+    let rec = xpulpnn::bench::ServingRecord::run(o.cfg).map_err(fail)?;
+    let wrote = write_artifact(&o.out_dir, "BENCH_serving.json", &rec.to_json())?;
     let r = &rec.report;
     let mut out = String::new();
     let _ = writeln!(
@@ -1249,7 +1163,7 @@ fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
         "throughput: {:.1} req/s sustained over {:.3}s ({} cold forks, {} warm runs)",
         r.req_per_sec, r.wall_secs, r.stats.cold_forks, r.stats.warm_runs
     );
-    let _ = writeln!(out, "wrote {}", path.display());
+    out.push_str(&wrote);
     Ok(out)
 }
 
@@ -1262,52 +1176,33 @@ pub struct SoakOpts {
     pub out_dir: String,
 }
 
+const SOAK: &[Flag] = &[
+    flag("--seed", ANY),
+    flag("--workers", WORKERS),
+    flag("--scale", Check::Int(1, u64::MAX)),
+    flag("--weight-seed", ANY),
+    flag("--out", Check::Text),
+];
+
 /// Parses the flags of the `soak` subcommand.
 pub fn parse_soak_opts(args: &[String]) -> Result<SoakOpts, CliError> {
-    let mut cfg = xpulpnn::serve::SoakConfig::default();
-    let mut out_dir = ".".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or_else(|| err("--seed needs a value"))?;
-                cfg.seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--workers" => {
-                let v = it.next().ok_or_else(|| err("--workers needs a value"))?;
-                cfg.workers = v
-                    .parse()
-                    .map_err(|_| err(format!("bad worker count `{v}`")))?;
-                if !(1..=16).contains(&cfg.workers) {
-                    return Err(err("--workers must be 1..16"));
-                }
-            }
-            "--scale" => {
-                let v = it.next().ok_or_else(|| err("--scale needs a value"))?;
-                cfg.scale = v.parse().map_err(|_| err(format!("bad scale `{v}`")))?;
-                if cfg.scale == 0 {
-                    return Err(err("--scale must be at least 1"));
-                }
-            }
-            "--weight-seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--weight-seed needs a value"))?;
-                cfg.weight_seed = v.parse().map_err(|_| err(format!("bad seed `{v}`")))?;
-            }
-            "--out" => {
-                let v = it.next().ok_or_else(|| err("--out needs a directory"))?;
-                out_dir = v.clone();
-            }
-            other => return Err(err(format!("unknown argument `{other}`"))),
-        }
-    }
-    Ok(SoakOpts { cfg, out_dir })
+    let a = parse_args(SOAK, args)?;
+    let d = xpulpnn::serve::SoakConfig::default();
+    let cfg = xpulpnn::serve::SoakConfig {
+        seed: a.num("--seed")?.unwrap_or(d.seed),
+        workers: a.num("--workers")?.unwrap_or(d.workers),
+        scale: a.num("--scale")?.unwrap_or(d.scale),
+        weight_seed: a.num("--weight-seed")?.unwrap_or(d.weight_seed),
+    };
+    Ok(SoakOpts {
+        cfg,
+        out_dir: a.get("--out").unwrap_or(".").to_string(),
+    })
 }
 
 fn cmd_soak(args: &[String]) -> Result<String, CliError> {
     let o = parse_soak_opts(args)?;
-    let rec = xpulpnn::bench::SoakRecord::run(o.cfg).map_err(|e| fail(e.to_string()))?;
+    let rec = xpulpnn::bench::SoakRecord::run(o.cfg).map_err(fail)?;
     let r = &rec.report;
     // The campaign's own invariants gate the artifact: a lost request
     // or a stuck breaker is a runtime failure, not a report detail.
@@ -1322,9 +1217,7 @@ fn cmd_soak(args: &[String]) -> Result<String, CliError> {
     if !r.breakers_closed {
         return Err(fail("soak ended with an open circuit breaker"));
     }
-    let path = std::path::Path::new(&o.out_dir).join("BENCH_soak.json");
-    std::fs::write(&path, format!("{}\n", rec.to_json()))
-        .map_err(|e| fail(format!("cannot write `{}`: {e}", path.display())))?;
+    let wrote = write_artifact(&o.out_dir, "BENCH_soak.json", &rec.to_json())?;
     let c = &r.counters;
     let mut out = String::new();
     let _ = writeln!(
@@ -1368,7 +1261,7 @@ fn cmd_soak(args: &[String]) -> Result<String, CliError> {
     }
     let _ = writeln!(out, "digest    : {:016x}", r.digest);
     let _ = writeln!(out, "wall      : {:.3}s", r.wall_secs);
-    let _ = writeln!(out, "wrote {}", path.display());
+    out.push_str(&wrote);
     Ok(out)
 }
 
@@ -1740,6 +1633,26 @@ mod tests {
             &["soak", "--scale", "0"],
             &["soak", "--scale", "lots"],
             &["soak", "--weight-seed", "-1"],
+            // A flag the subcommand does not declare.
+            &["run", "a.s", "--bogus"],
+            &["dis", "a.s", "--bogus"],
+            &["dis", "--bogus"],
+            &["codesize", "a.s", "--bogus"],
+            &["codesize", "a.s", "extra"],
+            &["sweep", "--bogus"],
+            &["report", "--bogus"],
+            &["profile", "--bogus"],
+            &["cluster", "--bogus"],
+            &["bench", "--bogus"],
+            &["lint", "--bogus"],
+            &["conformance", "--bogus"],
+            &["faults", "--bogus"],
+            &["serve", "--bogus"],
+            &["loadgen", "--bogus"],
+            &["soak", "--bogus"],
+            // A dependent flag without the flag it depends on.
+            &["faults", "--cores", "4"],
+            &["lint", "--cores", "4", "a.s"],
         ];
         for args in cases {
             let e = dispatch(&v(args)).expect_err(&format!("{args:?} must be rejected"));
@@ -1760,6 +1673,50 @@ mod tests {
         ] {
             let e = dispatch(&v(args)).unwrap_err();
             assert!(e.usage, "{args:?}: {e}");
+        }
+    }
+
+    /// Every flag a subcommand's table declares appears in that
+    /// subcommand's USAGE synopsis, and every `--flag` the synopsis
+    /// names is in the table.
+    #[test]
+    fn usage_synopsis_matches_flag_tables() {
+        use std::collections::BTreeSet;
+        let tables: &[(&str, &[Flag])] = &[
+            ("run", RUN),
+            ("dis", FILE_ONLY),
+            ("codesize", FILE_ONLY),
+            ("sweep", SEED),
+            ("report", SEED),
+            ("profile", PROFILE),
+            ("cluster", CLUSTER),
+            ("bench", BENCH),
+            ("lint", LINT),
+            ("conformance", CONFORMANCE),
+            ("faults", FAULTS),
+            ("serve", SERVE),
+            ("loadgen", LOADGEN),
+            ("soak", SOAK),
+        ];
+        for &(cmd, table) in tables {
+            // The synopsis is the `xpulpnn <cmd>` line plus its
+            // continuation lines, which start with `[`.
+            let mut lines = USAGE
+                .lines()
+                .skip_while(|l| !l.split_whitespace().take(2).eq(["xpulpnn", cmd]));
+            let first = lines.next().expect("subcommand in USAGE");
+            let synopsis: String = std::iter::once(first)
+                .chain(lines.take_while(|l| l.trim_start().starts_with('[')))
+                .collect();
+            let mut named: BTreeSet<&str> = synopsis
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--"))
+                .collect();
+            if synopsis.contains(FILE) {
+                named.insert(FILE);
+            }
+            let declared: BTreeSet<&str> = table.iter().map(|f| f.name).collect();
+            assert_eq!(named, declared, "`{cmd}`: USAGE synopsis vs flag table");
         }
     }
 

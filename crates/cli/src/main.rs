@@ -1,13 +1,5 @@
-//! `xpulpnn` — the command-line front door to the reproduction.
-//!
-//! ```text
-//! xpulpnn run <file.s> [--isa rv32im|xpulpv2|xpulpnn] [--max-cycles N]
-//! xpulpnn dis <file.s>
-//! xpulpnn codesize <file.s>
-//! xpulpnn sweep [--seed N]
-//! xpulpnn report [--seed N]
-//! xpulpnn profile [--bits 8|4|2] [--isa xpulpv2|xpulpnn] [--sw-quant] [--seed N] [--top N]
-//! ```
+//! `xpulpnn` — the command-line front door to the reproduction; run
+//! `xpulpnn --help` for every subcommand (`cli::USAGE`).
 
 use std::process::ExitCode;
 

@@ -507,6 +507,48 @@ impl fmt::Display for Table3 {
     }
 }
 
+// ------------------------------------------------------- PM ablation
+
+/// The power-management ablation (§III-B1/§IV-A): clock gating on the
+/// dotp unit's bitwidth regions plus operand isolation on the
+/// quantization unit, on and off, for each kernel and for the
+/// general-purpose workload the extension must not tax.
+struct PmAblation<'a>(&'a Measurements);
+
+impl fmt::Display for PmAblation<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let m = self.0;
+        writeln!(f, "Ablation — clock gating + operand isolation (Table III)")?;
+        let mut t = Table::new(&["kernel", "no-PM [GMAC/s/W]", "PM [GMAC/s/W]", "PM gain"]);
+        for (name, lm) in [
+            ("8-bit MatMul", &m.w8),
+            ("4-bit MatMul (pv.qnt)", &m.w4_nn_hw),
+            ("2-bit MatMul (pv.qnt)", &m.w2_nn_hw),
+        ] {
+            let wl = matmul_workload(lm.cfg.bits.bits());
+            let eff = |v| efficiency_gmac_s_w(lm.macs, lm.cycles, soc_power_mw(v, wl));
+            let (no_pm, pm) = (eff(CoreVariant::ExtNoPm), eff(CoreVariant::ExtPm));
+            t.row(&[
+                name.to_string(),
+                format!("{no_pm:.1}"),
+                format!("{pm:.1}"),
+                format!("{:.2}x", pm / no_pm),
+            ]);
+        }
+        t.fmt(f)?;
+        let gp = |v| soc_power_mw(v, Workload::GeneralPurpose);
+        let base = gp(CoreVariant::Ri5cy);
+        let (no_pm, pm) = (gp(CoreVariant::ExtNoPm), gp(CoreVariant::ExtPm));
+        write!(
+            f,
+            "general-purpose app power: baseline {base:.2} mW, ext no-PM {no_pm:.2} mW \
+             (+{:.1}%), ext PM {pm:.2} mW (+{:.1}%)",
+            (no_pm - base) / base * 100.0,
+            (pm - base) / base * 100.0
+        )
+    }
+}
+
 // ------------------------------------------------------ quant microbench
 
 /// The §III-A claim in isolation: `pv.qnt` latency vs the software tree.
@@ -856,6 +898,7 @@ impl fmt::Display for FullReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{}", self.table1)?;
         writeln!(f, "{}", Table3)?;
+        writeln!(f, "{}\n", PmAblation(&self.measurements))?;
         writeln!(f, "{}", self.figure6)?;
         writeln!(f, "{}", self.figure7)?;
         writeln!(f, "{}", self.figure8)?;

@@ -3,9 +3,8 @@
 //! inference end to end on the simulated SoC — each layer verified
 //! against its golden model on the way.
 //!
-//! This is the downstream-user API the kernel library exists for: the
-//! `cnn_inference` and `mobilenet_block` examples are hand-rolled
-//! versions of what [`Network::run`] automates.
+//! This is the downstream-user API the kernel library exists for; the
+//! `network_inference` example drives it end to end.
 //!
 //! # Graceful degradation
 //!
@@ -872,6 +871,37 @@ mod tests {
         assert!(text.contains("maxpool"));
         assert!(text.contains("linear"));
         assert!(!text.contains("degraded"));
+    }
+
+    /// Per-layer mixed precision (Rusci et al.): an 8-bit stem, a 4-bit
+    /// middle layer and a stride-2 conv down to 2-bit outputs, each
+    /// layer's output width feeding the next layer's operands.
+    #[test]
+    fn mixed_precision_chain_8_4_4_2() {
+        let conv = |in_hw, in_c, out_c, stride, bits, out_bits| {
+            let shape = ConvShape {
+                in_h: in_hw,
+                in_w: in_hw,
+                in_c,
+                out_c,
+                k_h: 3,
+                k_w: 3,
+                stride,
+                pad: 1,
+            };
+            Layer::conv(shape, bits, out_bits)
+        };
+        let net = Network::new(vec![
+            conv(8, 8, 16, 1, BitWidth::W8, BitWidth::W4),
+            conv(8, 16, 16, 1, BitWidth::W4, BitWidth::W4),
+            conv(8, 16, 32, 2, BitWidth::W4, BitWidth::W2),
+        ])
+        .expect("consistent network");
+        let run = net.run(7).expect("verified inference");
+        assert!(run.layers.iter().all(|l| l.outcome == LayerOutcome::Ok));
+        // Stride 2 halves the 8x8 map: 4x4 pixels x 32 channels, 2-bit.
+        assert_eq!(run.output.len(), 4 * 4 * 32);
+        assert_eq!(run.output.bits(), BitWidth::W2);
     }
 
     #[test]

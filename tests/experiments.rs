@@ -166,6 +166,7 @@ fn full_report_renders() {
     for needle in [
         "Table I",
         "Table III",
+        "Ablation — clock gating + operand isolation",
         "Figure 6",
         "Figure 7",
         "Figure 8",
