@@ -6,6 +6,7 @@ use xpulpnn::pulp_isa::compressed::code_size_report;
 use xpulpnn::pulp_isa::reg::ALL_REGS;
 use xpulpnn::pulp_kernels::cluster::MAX_HARTS;
 use xpulpnn::pulp_soc::Soc;
+use xpulpnn::report::Record;
 use xpulpnn::riscv_core::{IsaConfig, Trap};
 use xpulpnn::{BitWidth, KernelIsa};
 
@@ -42,16 +43,17 @@ usage:
       speedup over the single-core SoC, the conflict/DMA breakdown and
       per-hart utilization; simulated cycles are independent of
       --threads (host parallelism)
-  xpulpnn bench [--json] [--host] [--seed N] [--out DIR]
+  xpulpnn bench [--json | --host] [--seed N] [--out DIR]
       benchmark the Fig. 8 4-bit layer on the seed single core, the
       8-core cluster and the Xrvv vector backend (VLEN 128); --json
       writes one BENCH_<label>.json artifact
       per configuration (cycles, MACs/cycle, stall/conflict breakdown,
       per-core utilization) instead of printing a table; --host instead
-      benchmarks the *simulator* on this machine — the layer runs
-      interpreted and again under the decoded-block fast path (verified
-      bit-exact), and BENCH_host_throughput.json records simulated
-      cycles/second for both, the speedup and the block-cache hit rate
+      benchmarks the *simulator* on this machine — the layer runs in
+      five interleaved interpreted/fast-path pairs (each pair verified
+      bit-exact), and BENCH_host_throughput.json records the median
+      simulated cycles/second of both paths, the median speedup with
+      its min/max, and the block-cache hit rate
   xpulpnn lint [<file.s>] [--races [--cores N]]
       statically verify a program: CFG + hardware-loop legality,
       dataflow (uninitialized reads, dead stores, reserved-register
@@ -618,7 +620,7 @@ pub struct BenchOpts {
 
 const BENCH: &[Flag] = &[
     flag("--json", Check::Switch),
-    flag("--host", Check::Switch),
+    flag("--host", Check::Switch).excludes(&["--json"]),
     flag("--seed", ANY),
     flag("--out", Check::Text),
 ];
@@ -644,7 +646,11 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
     if o.json {
         for r in &records {
             let name = format!("BENCH_{}.json", r.label);
-            out.push_str(&write_artifact(&o.out_dir, &name, &r.to_json())?);
+            out.push_str(&write_artifact(
+                &o.out_dir,
+                &name,
+                &Record::from(r).to_json(),
+            )?);
         }
         return Ok(out);
     }
@@ -667,8 +673,10 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
 /// `bench --host`: time the simulator itself on the Fig. 8 layer,
 /// interpreted vs. fast path, and write `BENCH_host_throughput.json`.
 fn cmd_bench_host(o: &BenchOpts) -> Result<String, CliError> {
-    let r = xpulpnn::bench::host_throughput(o.seed).map_err(fail)?;
-    let wrote = write_artifact(&o.out_dir, "BENCH_host_throughput.json", &r.to_json())?;
+    let cfg = xpulpnn::ConvKernelConfig::paper(BitWidth::W4, KernelIsa::XpulpNN, true);
+    let r = xpulpnn::bench::host_throughput(cfg, o.seed).map_err(fail)?;
+    let json = Record::from(&r).to_json();
+    let wrote = write_artifact(&o.out_dir, "BENCH_host_throughput.json", &json)?;
     let mut out = String::new();
     let _ = writeln!(out, "kernel          : {}", r.kernel);
     let _ = writeln!(
@@ -679,20 +687,23 @@ fn cmd_bench_host(o: &BenchOpts) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "interpreter     : {:.3}s  ({:.2} Mcycles/s)",
-        r.interp_secs,
+        r.interp_secs.median,
         r.interp_cps() / 1e6
     );
     let _ = writeln!(
         out,
         "fast path       : {:.3}s  ({:.2} Mcycles/s)",
-        r.fast_secs,
+        r.fast_secs.median,
         r.fast_cps() / 1e6
     );
-    let _ = writeln!(out, "speedup         : {:.2}x", r.speedup());
+    let _ = writeln!(out, "speedup         : {:.2}x", r.speedup.median);
     let _ = writeln!(
         out,
         "block cache     : {:.4} hit rate, {} blocks translated, {} interp fallbacks, {} invalidations",
-        r.hit_rate, r.translations, r.interp_fallbacks, r.invalidations
+        r.stats.hit_rate(),
+        r.stats.translations,
+        r.stats.interp_fallbacks,
+        r.stats.invalidations
     );
     out.push_str(&wrote);
     Ok(out)
@@ -775,7 +786,7 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let o = parse_profile_opts(args)?;
     let p = xpulpnn::measure::profile_paper_layer(o.bits, o.isa, o.hw_quant, o.seed, o.top)
         .map_err(fail)?;
-    Ok(format!("{}\n", p.to_json()))
+    Ok(format!("{}\n", Record::from(&p).to_json()))
 }
 
 const LINT: &[Flag] = &[
@@ -1134,9 +1145,12 @@ pub fn parse_loadgen_opts(args: &[String]) -> Result<LoadgenOpts, CliError> {
 
 fn cmd_loadgen(args: &[String]) -> Result<String, CliError> {
     let o = parse_loadgen_opts(args)?;
-    let rec = xpulpnn::bench::ServingRecord::run(o.cfg).map_err(fail)?;
-    let wrote = write_artifact(&o.out_dir, "BENCH_serving.json", &rec.to_json())?;
-    let r = &rec.report;
+    let r = xpulpnn::serve::run_loadgen(o.cfg).map_err(fail)?;
+    let wrote = write_artifact(
+        &o.out_dir,
+        "BENCH_serving.json",
+        &Record::from(&r).to_json(),
+    )?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1202,8 +1216,7 @@ pub fn parse_soak_opts(args: &[String]) -> Result<SoakOpts, CliError> {
 
 fn cmd_soak(args: &[String]) -> Result<String, CliError> {
     let o = parse_soak_opts(args)?;
-    let rec = xpulpnn::bench::SoakRecord::run(o.cfg).map_err(fail)?;
-    let r = &rec.report;
+    let r = xpulpnn::serve::run_soak(o.cfg).map_err(fail)?;
     // The campaign's own invariants gate the artifact: a lost request
     // or a stuck breaker is a runtime failure, not a report detail.
     let lost = r.lost_ids();
@@ -1217,7 +1230,7 @@ fn cmd_soak(args: &[String]) -> Result<String, CliError> {
     if !r.breakers_closed {
         return Err(fail("soak ended with an open circuit breaker"));
     }
-    let wrote = write_artifact(&o.out_dir, "BENCH_soak.json", &rec.to_json())?;
+    let wrote = write_artifact(&o.out_dir, "BENCH_soak.json", &Record::from(&r).to_json())?;
     let c = &r.counters;
     let mut out = String::new();
     let _ = writeln!(
@@ -1608,6 +1621,7 @@ mod tests {
             &["cluster", "--threads", "0"],
             &["cluster", "--seed", "seed"],
             &["bench", "--seed", "1e6"],
+            &["bench", "--json", "--host"],
             &["conformance", "--cases", "many"],
             &["conformance", "--cases", "-5"],
             &["conformance", "--seed", "later"],
@@ -1809,19 +1823,9 @@ mod tests {
         );
         assert!(out.contains("\"ledger\""), "{out}");
         assert!(out.contains("\"hotspots\""), "{out}");
-        // The ledger's total equals the cycle counter (the core's retire
-        // invariant, re-checked here on the emitted JSON).
-        let grab = |key: &str| -> u64 {
-            let i = out.find(key).unwrap_or_else(|| panic!("no {key} in {out}"));
-            out[i + key.len()..]
-                .chars()
-                .skip_while(|c| !c.is_ascii_digit())
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse()
-                .unwrap()
-        };
-        assert_eq!(grab("\"cycles\":"), grab("\"total\":"));
+        // The ledger's total equals the Fig. 8 layer's pinned cycle count.
+        assert!(out.contains("\"cycles\": 1440804,"), "{out}");
+        assert!(out.contains("\"total\": 1440804\n"), "{out}");
         // The 4-bit XpulpNN kernel's hottest class is the dotp unit.
         assert!(out.contains("\"dotp.n\""), "{out}");
     }

@@ -1,16 +1,19 @@
-//! Benchmark artifacts for `xpulpnn bench`: one machine-readable record
-//! per configuration — simulated cycles, MACs/cycle, the stall/conflict
-//! breakdown and per-core utilization — for the paper's Fig. 8 4-bit
-//! layer on the seed single core and on the 8-core cluster.
+//! Benchmark artifacts for `xpulpnn bench`, `loadgen` and `soak`.
 //!
-//! JSON is emitted by hand, same as [`crate::report`]: the offline
-//! build carries no serde, and the records are small flat structures.
+//! `bench` measures the paper's Fig. 8 4-bit layer — simulated cycles,
+//! MACs/cycle, the stall/conflict breakdown and per-core utilization —
+//! on the seed single core, the 8-core cluster and the vector backend;
+//! `bench --host` times the simulator itself. Every artifact is written
+//! through [`Record`]: deterministic fields at top level, wall-clock and
+//! scheduling-dependent fields under one `"host"` object.
 
 use crate::measure::{measure, Error};
-use crate::report::escape_json;
+use crate::report::{Record, Value};
 use pulp_cluster::{ClusterConvTestbench, ClusterError};
+use pulp_kernels::runner::ConvRunResult;
 use pulp_kernels::{ConvKernelConfig, ConvTestbench, KernelIsa};
 use qnn::BitWidth;
+use riscv_core::FastPathStats;
 use std::time::Instant;
 
 /// One core's share of a benchmark run.
@@ -28,8 +31,8 @@ pub struct CoreActivity {
     pub utilization: f64,
 }
 
-/// A self-contained benchmark record, serializable with
-/// [`BenchRecord::to_json`].
+/// One benchmark configuration's measurement; every field is
+/// deterministic.
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
     /// Artifact label (`"single_core"`, `"cluster8"`, ...); the CLI
@@ -47,7 +50,7 @@ pub struct BenchRecord {
     /// Named cycle/stall breakdown. Single-core records carry the
     /// per-class cycle ledger; cluster records carry conflict and DMA
     /// accounting.
-    pub breakdown: Vec<(String, u64)>,
+    pub breakdown: Vec<(&'static str, u64)>,
     /// Per-core activity, one entry per hart.
     pub per_core: Vec<CoreActivity>,
 }
@@ -74,7 +77,7 @@ impl BenchRecord {
             .perf
             .ledger
             .entries()
-            .map(|(class, cycles)| (class.name().to_string(), cycles))
+            .map(|(c, n)| (c.name(), n))
             .collect();
         Ok(BenchRecord {
             label: label.to_string(),
@@ -111,16 +114,13 @@ impl BenchRecord {
             return Err(Error::Mismatch { config: cfg.name() });
         }
         let breakdown = vec![
-            ("bank_conflicts".to_string(), r.stats.conflicts),
-            ("conflict_stall_cycles".to_string(), r.stats.conflict_stalls),
-            (
-                "barrier_wait_cycles".to_string(),
-                r.stats.barrier_wait.iter().sum(),
-            ),
-            ("dma_prologue_cycles".to_string(), r.stats.dma_prologue),
-            ("dma_hidden_cycles".to_string(), r.stats.dma_hidden),
-            ("dma_exposed_cycles".to_string(), r.stats.dma_exposed),
-            ("dma_writeback_cycles".to_string(), r.stats.dma_writeback),
+            ("bank_conflicts", r.stats.conflicts),
+            ("conflict_stall_cycles", r.stats.conflict_stalls),
+            ("barrier_wait_cycles", r.stats.barrier_wait.iter().sum()),
+            ("dma_prologue_cycles", r.stats.dma_prologue),
+            ("dma_hidden_cycles", r.stats.dma_hidden),
+            ("dma_exposed_cycles", r.stats.dma_exposed),
+            ("dma_writeback_cycles", r.stats.dma_writeback),
         ];
         let cycles = r.cycles;
         let per_core = (0..cores)
@@ -142,310 +142,249 @@ impl BenchRecord {
             per_core,
         })
     }
+}
 
-    /// Serializes the record as a self-contained JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"label\": \"{}\",\n", escape_json(&self.label)));
-        s.push_str(&format!(
-            "  \"kernel\": \"{}\",\n",
-            escape_json(&self.kernel)
-        ));
-        s.push_str(&format!("  \"cores\": {},\n", self.cores));
-        s.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        s.push_str(&format!("  \"macs\": {},\n", self.macs));
-        s.push_str(&format!(
-            "  \"macs_per_cycle\": {:.4},\n",
-            self.macs_per_cycle()
-        ));
-        s.push_str("  \"breakdown\": {\n");
-        for (i, (name, cycles)) in self.breakdown.iter().enumerate() {
-            s.push_str(&format!(
-                "    \"{}\": {}{}\n",
-                escape_json(name),
-                cycles,
-                if i + 1 < self.breakdown.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
+impl From<&BenchRecord> for Record {
+    fn from(r: &BenchRecord) -> Record {
+        let breakdown = r
+            .breakdown
+            .iter()
+            .map(|&(name, cycles)| (name, Value::from(cycles)));
+        let per_core = r.per_core.iter().map(|c| {
+            Value::object([
+                ("hart", Value::from(c.hart)),
+                ("instret", Value::from(c.instret)),
+                ("busy", Value::from(c.busy)),
+                ("barrier_wait", Value::from(c.barrier_wait)),
+                ("utilization", Value::float(c.utilization, 4)),
+            ])
+        });
+        Record::new(&r.label)
+            .field("kernel", r.kernel.as_str())
+            .field("cores", r.cores)
+            .field("cycles", r.cycles)
+            .field("macs", r.macs)
+            .field("macs_per_cycle", Value::float(r.macs_per_cycle(), 4))
+            .field("breakdown", Value::object(breakdown))
+            .field("per_core", Value::List(per_core.collect()))
+    }
+}
+
+/// Interleaved interpreted/fast-path pairs `bench --host` times.
+pub const HOST_SAMPLES: usize = 5;
+
+/// The median and range of a host-timing sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Middle value (the upper middle for an even count).
+    pub median: f64,
+    /// Smallest value.
+    pub min: f64,
+    /// Largest value.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of a non-empty sample.
+    fn of(mut xs: Vec<f64>) -> Spread {
+        xs.sort_by(f64::total_cmp);
+        Spread {
+            median: xs[xs.len() / 2],
+            min: xs[0],
+            max: xs[xs.len() - 1],
         }
-        s.push_str("  },\n");
-        s.push_str("  \"per_core\": [\n");
-        for (i, c) in self.per_core.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"hart\": {}, \"instret\": {}, \"busy\": {}, \"barrier_wait\": {}, \
-                 \"utilization\": {:.4}}}{}\n",
-                c.hart,
-                c.instret,
-                c.busy,
-                c.barrier_wait,
-                c.utilization,
-                if i + 1 < self.per_core.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}");
-        s
     }
 }
 
 /// Host-side throughput of the simulator itself: the Fig. 8 4-bit
-/// layer, interpreted vs. the decoded-block fast path, on this machine.
+/// layer, interpreted vs. the decoded-block fast path, on this machine,
+/// over [`HOST_SAMPLES`] interleaved pairs.
 ///
-/// Simulated results are bit-exact between the two runs (that identity
-/// is asserted before the record is built); only host wall-clock
+/// Simulated results are bit-exact between the two paths (checked on
+/// every pair before the record is built); only host wall-clock
 /// differs, so the record is about the *simulator*, not the kernel.
 #[derive(Debug, Clone)]
-pub struct HostThroughputRecord {
+pub struct HostThroughput {
     /// Kernel configuration name.
     pub kernel: String,
     /// Simulated cycles of the layer (identical on both paths).
     pub cycles: u64,
     /// Instructions retired (identical on both paths).
     pub instret: u64,
-    /// Wall-clock seconds of the interpreted run.
-    pub interp_secs: f64,
-    /// Wall-clock seconds of the fast-path run.
-    pub fast_secs: f64,
-    /// Block-cache hit rate of the fast-path run (hits / lookups).
-    pub hit_rate: f64,
-    /// Decoded-block cache lookups that missed and forced a translation
-    /// or an interpreter step.
-    pub misses: u64,
-    /// Blocks translated during the run.
-    pub translations: u64,
-    /// Ops the fast path punted to the interpreter (untranslatable).
-    pub interp_fallbacks: u64,
-    /// Whole-cache invalidations (restore, host writes, SMC).
-    pub invalidations: u64,
+    /// Wall-clock seconds of the interpreted runs.
+    pub interp_secs: Spread,
+    /// Wall-clock seconds of the fast-path runs.
+    pub fast_secs: Spread,
+    /// Per-pair wall-clock speedup of the fast path over the interpreter.
+    pub speedup: Spread,
+    /// Block-cache counters of the last fast-path run (every run
+    /// translates and hits the same blocks).
+    pub stats: FastPathStats,
 }
 
-impl HostThroughputRecord {
-    /// Simulated cycles per wall-clock second, interpreted.
+impl HostThroughput {
+    /// Simulated cycles per wall-clock second at the median interpreted
+    /// time.
     pub fn interp_cps(&self) -> f64 {
-        self.cycles as f64 / self.interp_secs.max(1e-9)
+        self.cycles as f64 / self.interp_secs.median.max(1e-9)
     }
 
-    /// Simulated cycles per wall-clock second, fast path.
+    /// Simulated cycles per wall-clock second at the median fast-path
+    /// time.
     pub fn fast_cps(&self) -> f64 {
-        self.cycles as f64 / self.fast_secs.max(1e-9)
-    }
-
-    /// Wall-clock speedup of the fast path over the interpreter.
-    pub fn speedup(&self) -> f64 {
-        self.interp_secs / self.fast_secs.max(1e-9)
-    }
-
-    /// Serializes the record as a self-contained JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"kernel\": \"{}\",\n  \"cycles\": {},\n  \"instret\": {},\n  \
-             \"interp_secs\": {:.6},\n  \"fast_secs\": {:.6},\n  \
-             \"interp_cycles_per_sec\": {:.0},\n  \"fast_cycles_per_sec\": {:.0},\n  \
-             \"speedup\": {:.2},\n  \"block_cache_hit_rate\": {:.6},\n  \
-             \"block_cache_misses\": {},\n  \"blocks_translated\": {},\n  \
-             \"interp_fallbacks\": {},\n  \"invalidations\": {}\n}}",
-            escape_json(&self.kernel),
-            self.cycles,
-            self.instret,
-            self.interp_secs,
-            self.fast_secs,
-            self.interp_cps(),
-            self.fast_cps(),
-            self.speedup(),
-            self.hit_rate,
-            self.misses,
-            self.translations,
-            self.interp_fallbacks,
-            self.invalidations,
-        )
+        self.cycles as f64 / self.fast_secs.median.max(1e-9)
     }
 }
 
-/// Measures host throughput on `cfg`: one interpreted run, one
-/// fast-path run, both verified against the golden model and against
-/// each other (every counter bit-exact) before timing is reported.
-pub fn host_throughput_for(
-    cfg: ConvKernelConfig,
-    seed: u64,
-) -> Result<HostThroughputRecord, Error> {
-    let tb = ConvTestbench::new(cfg, seed).map_err(|e| Error::Build(e.to_string()))?;
-
-    let t0 = Instant::now();
-    let interp = tb.run().map_err(Error::Trap)?;
-    let interp_secs = t0.elapsed().as_secs_f64();
-    if !interp.matches() {
-        return Err(Error::Mismatch { config: cfg.name() });
+impl From<&HostThroughput> for Record {
+    fn from(r: &HostThroughput) -> Record {
+        let spread = |rec: Record, key: &str, s: Spread, decimals| {
+            rec.host(key, Value::float(s.median, decimals))
+                .host(&format!("{key}_min"), Value::float(s.min, decimals))
+                .host(&format!("{key}_max"), Value::float(s.max, decimals))
+        };
+        let rec = Record::new("host_throughput")
+            .field("kernel", r.kernel.as_str())
+            .field("cycles", r.cycles)
+            .field("instret", r.instret)
+            .field("samples", HOST_SAMPLES)
+            .field("block_cache_hit_rate", Value::float(r.stats.hit_rate(), 6))
+            .field("block_cache_misses", r.stats.misses)
+            .field("blocks_translated", r.stats.translations)
+            .field("interp_fallbacks", r.stats.interp_fallbacks)
+            .field("invalidations", r.stats.invalidations);
+        let rec = spread(rec, "interp_secs", r.interp_secs, 6);
+        let rec = spread(rec, "fast_secs", r.fast_secs, 6)
+            .host("interp_cycles_per_sec", Value::float(r.interp_cps(), 0))
+            .host("fast_cycles_per_sec", Value::float(r.fast_cps(), 0));
+        spread(rec, "speedup", r.speedup, 2)
     }
+}
 
-    // Run the fast path by hand (rather than through `run_fastpath`) so
-    // the block-cache statistics survive into the record.
+/// Stages `tb`, times its run — on the decoded-block fast path when
+/// `fast` — and verifies the output against the golden model. Staging
+/// and verification stay outside the timed span on both paths. The
+/// block-cache counters are all zero for an interpreted run.
+fn timed_run(tb: &ConvTestbench, fast: bool) -> Result<(f64, ConvRunResult, FastPathStats), Error> {
     let mut soc = tb.stage();
-    soc.enable_fastpath();
+    if fast {
+        soc.enable_fastpath();
+    }
     let t0 = Instant::now();
-    let report = soc.run(tb.cycle_budget()).map_err(Error::Trap)?;
-    let fast_secs = t0.elapsed().as_secs_f64();
-    let stats = soc
-        .core
-        .fastpath_stats()
-        .expect("fast path was enabled for the timed run");
-    let fast = tb.collect(&soc, report);
-    if !fast.matches() {
-        return Err(Error::Mismatch { config: cfg.name() });
+    let report = soc.run(tb.cycle_budget())?;
+    let secs = t0.elapsed().as_secs_f64();
+    let result = tb.collect(&soc, report);
+    if !result.matches() {
+        return Err(Error::Mismatch {
+            config: tb.cfg.name(),
+        });
     }
-    assert_eq!(
-        interp.report, fast.report,
-        "fast path must be bit-exact with the interpreter"
-    );
-
-    Ok(HostThroughputRecord {
-        kernel: cfg.name(),
-        cycles: interp.report.perf.cycles,
-        instret: interp.report.perf.instret,
-        interp_secs,
-        fast_secs,
-        hit_rate: stats.hit_rate(),
-        misses: stats.misses,
-        translations: stats.translations,
-        interp_fallbacks: stats.interp_fallbacks,
-        invalidations: stats.invalidations,
-    })
+    let stats = soc.core.fastpath_stats().unwrap_or_default();
+    Ok((secs, result, stats))
 }
 
-/// The `xpulpnn bench --host` measurement: the paper's Fig. 8 4-bit
-/// hardware-quantized layer.
-pub fn host_throughput(seed: u64) -> Result<HostThroughputRecord, Error> {
-    host_throughput_for(
-        ConvKernelConfig::paper(BitWidth::W4, KernelIsa::XpulpNN, true),
-        seed,
-    )
-}
-
-/// The serving benchmark artifact (`BENCH_serving.json`): one seeded
-/// loadgen run through the snapshot-forked worker pool, with p50/p99
-/// latency in simulated cycles (deterministic) and host microseconds
-/// (wall clock), sustained requests/sec, outcome counts and the
-/// scheduling-independent response digest.
-#[derive(Debug)]
-pub struct ServingRecord {
-    /// The loadgen report the record summarizes.
-    pub report: serve::LoadReport,
-}
-
-impl ServingRecord {
-    /// Runs one seeded loadgen campaign and wraps the report.
-    ///
-    /// # Errors
-    ///
-    /// [`serve::ServeError`] when the pool cannot start.
-    pub fn run(cfg: serve::LoadgenConfig) -> Result<ServingRecord, serve::ServeError> {
-        Ok(ServingRecord {
-            report: serve::run_loadgen(cfg)?,
-        })
-    }
-
-    /// Serializes the record as a self-contained JSON object.
-    pub fn to_json(&self) -> String {
-        let r = &self.report;
-        let mut s = String::from("{\n");
-        s.push_str("  \"label\": \"serving\",\n");
-        s.push_str(&format!("  \"seed\": {},\n", r.cfg.seed));
-        s.push_str(&format!("  \"workers\": {},\n", r.cfg.workers));
-        s.push_str(&format!("  \"requests\": {},\n", r.responses.len()));
-        s.push_str(&format!("  \"digest\": \"{:016x}\",\n", r.digest));
-        for label in ["ok", "masked", "recovered", "degraded"] {
-            s.push_str(&format!("  \"{label}\": {},\n", r.count(label)));
+/// Measures host throughput on `cfg` (`xpulpnn bench --host` runs the
+/// Fig. 8 4-bit `pv.qnt` layer): [`HOST_SAMPLES`] interleaved
+/// interpreted/fast-path pairs, every run verified against the golden
+/// model and against its partner in the pair (every counter bit-exact).
+///
+/// # Errors
+///
+/// [`Error`] on build failure, trap or golden mismatch;
+/// [`Error::FastPathDiverged`] when a fast-path run differs from its
+/// interpreted partner.
+pub fn host_throughput(cfg: ConvKernelConfig, seed: u64) -> Result<HostThroughput, Error> {
+    let tb = ConvTestbench::new(cfg, seed)?;
+    let (mut interp_secs, mut fast_secs) = (Vec::new(), Vec::new());
+    loop {
+        let (secs, interp, _) = timed_run(&tb, false)?;
+        interp_secs.push(secs);
+        let (secs, fast, stats) = timed_run(&tb, true)?;
+        fast_secs.push(secs);
+        if interp.report != fast.report {
+            return Err(Error::FastPathDiverged { config: cfg.name() });
         }
-        s.push_str(&format!(
-            "  \"sim_cycles_p50\": {},\n  \"sim_cycles_p99\": {},\n  \"sim_cycles_max\": {},\n",
-            r.sim_cycles.p50, r.sim_cycles.p99, r.sim_cycles.max
-        ));
-        s.push_str(&format!(
-            "  \"host_us_p50\": {},\n  \"host_us_p99\": {},\n  \"host_us_max\": {},\n",
-            r.host_us.p50, r.host_us.p99, r.host_us.max
-        ));
-        s.push_str(&format!(
-            "  \"total_sim_cycles\": {},\n",
-            r.total_sim_cycles
-        ));
-        s.push_str(&format!("  \"wall_secs\": {:.6},\n", r.wall_secs));
-        s.push_str(&format!(
-            "  \"sustained_req_per_sec\": {:.2},\n",
-            r.req_per_sec
-        ));
-        s.push_str(&format!(
-            "  \"cold_forks\": {},\n  \"warm_runs\": {}\n}}",
-            r.stats.cold_forks, r.stats.warm_runs
-        ));
-        s
+        if fast_secs.len() == HOST_SAMPLES {
+            let speedup = interp_secs.iter().zip(&fast_secs);
+            return Ok(HostThroughput {
+                kernel: cfg.name(),
+                cycles: interp.report.perf.cycles,
+                instret: interp.report.perf.instret,
+                speedup: Spread::of(speedup.map(|(i, f)| i / f.max(1e-9)).collect()),
+                interp_secs: Spread::of(interp_secs),
+                fast_secs: Spread::of(fast_secs),
+                stats,
+            });
+        }
     }
 }
 
-/// The soak benchmark artifact (`BENCH_soak.json`): one seeded
-/// multi-phase resilience campaign through the supervisor (overload →
-/// fault storm → hang injection → template corruption → recovery),
-/// with the resilience counters and the scheduling-independent digest.
-#[derive(Debug)]
-pub struct SoakRecord {
-    /// The soak report the record summarizes.
-    pub report: serve::SoakReport,
+/// The `BENCH_serving.json` record of one seeded loadgen run: outcome
+/// counts, the response digest and simulated-cycle latency at top
+/// level; host latency, throughput and the pool's cold-fork/warm-run
+/// split (which depends on how workers raced for requests) under
+/// `"host"`.
+impl From<&serve::LoadReport> for Record {
+    fn from(r: &serve::LoadReport) -> Record {
+        Record::new("serving")
+            .field("seed", r.cfg.seed)
+            .field("workers", r.cfg.workers)
+            .field("requests", r.responses.len())
+            .field("digest", format!("{:016x}", r.digest))
+            .field("ok", r.count("ok"))
+            .field("masked", r.count("masked"))
+            .field("recovered", r.count("recovered"))
+            .field("degraded", r.count("degraded"))
+            .field("sim_cycles_p50", r.sim_cycles.p50)
+            .field("sim_cycles_p99", r.sim_cycles.p99)
+            .field("sim_cycles_max", r.sim_cycles.max)
+            .field("total_sim_cycles", r.total_sim_cycles)
+            .host("host_us_p50", r.host_us.p50)
+            .host("host_us_p99", r.host_us.p99)
+            .host("host_us_max", r.host_us.max)
+            .host("wall_secs", Value::float(r.wall_secs, 6))
+            .host("sustained_req_per_sec", Value::float(r.req_per_sec, 2))
+            .host("cold_forks", r.stats.cold_forks)
+            .host("warm_runs", r.stats.warm_runs)
+    }
 }
 
-impl SoakRecord {
-    /// Runs one seeded soak campaign and wraps the report.
-    ///
-    /// # Errors
-    ///
-    /// [`serve::ServeError`] when the pool cannot start.
-    pub fn run(cfg: serve::SoakConfig) -> Result<SoakRecord, serve::ServeError> {
-        Ok(SoakRecord {
-            report: serve::run_soak(cfg)?,
-        })
-    }
-
-    /// Serializes the record as a self-contained JSON object.
-    pub fn to_json(&self) -> String {
-        let r = &self.report;
+/// The `BENCH_soak.json` record of one seeded resilience campaign
+/// (overload → fault storm → hang injection → template corruption →
+/// recovery): the resilience counters, per-phase deltas and the
+/// response digest, with only the wall-clock time under `"host"`.
+impl From<&serve::SoakReport> for Record {
+    fn from(r: &serve::SoakReport) -> Record {
         let c = &r.counters;
-        let mut s = String::from("{\n");
-        s.push_str("  \"label\": \"soak\",\n");
-        s.push_str(&format!("  \"seed\": {},\n", r.cfg.seed));
-        s.push_str(&format!("  \"workers\": {},\n", r.cfg.workers));
-        s.push_str(&format!("  \"scale\": {},\n", r.cfg.scale));
-        s.push_str(&format!("  \"requests\": {},\n", r.responses.len()));
-        s.push_str(&format!("  \"digest\": \"{:016x}\",\n", r.digest));
-        s.push_str(&format!("  \"shed_queue_full\": {},\n", c.shed_queue_full));
-        s.push_str(&format!("  \"shed_pressure\": {},\n", c.shed_pressure));
-        s.push_str(&format!("  \"retried\": {},\n", c.retried));
-        s.push_str(&format!("  \"timed_out\": {},\n", c.timed_out));
-        s.push_str(&format!("  \"breaker_trips\": {},\n", c.breaker_trips));
-        s.push_str(&format!("  \"breaker_closes\": {},\n", c.breaker_closes));
-        s.push_str(&format!("  \"fallback_served\": {},\n", c.fallback_served));
-        s.push_str(&format!("  \"reaps\": {},\n", r.pool_stats.reaps));
-        s.push_str(&format!(
-            "  \"quarantines\": {},\n",
-            r.pool_stats.quarantines
-        ));
-        s.push_str(&format!("  \"breakers_closed\": {},\n", r.breakers_closed));
-        s.push_str("  \"phases\": [\n");
-        for (i, p) in r.phases.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"phase\": \"{}\", \"requests\": {}, \"shed\": {}, \"retried\": {}, \
-                 \"timed_out\": {}, \"breaker_trips\": {}, \"fallback_served\": {}}}{}\n",
-                p.phase.name(),
-                p.requests,
-                p.shed,
-                p.retried,
-                p.timed_out,
-                p.breaker_trips,
-                p.fallback_served,
-                if i + 1 < r.phases.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!("  \"wall_secs\": {:.6}\n}}", r.wall_secs));
-        s
+        let phases = r.phases.iter().map(|p| {
+            Value::object([
+                ("phase", Value::from(p.phase.name())),
+                ("requests", Value::from(p.requests)),
+                ("shed", Value::from(p.shed)),
+                ("retried", Value::from(p.retried)),
+                ("timed_out", Value::from(p.timed_out)),
+                ("breaker_trips", Value::from(p.breaker_trips)),
+                ("fallback_served", Value::from(p.fallback_served)),
+            ])
+        });
+        Record::new("soak")
+            .field("seed", r.cfg.seed)
+            .field("workers", r.cfg.workers)
+            .field("scale", r.cfg.scale)
+            .field("requests", r.responses.len())
+            .field("digest", format!("{:016x}", r.digest))
+            .field("shed_queue_full", c.shed_queue_full)
+            .field("shed_pressure", c.shed_pressure)
+            .field("retried", c.retried)
+            .field("timed_out", c.timed_out)
+            .field("breaker_trips", c.breaker_trips)
+            .field("breaker_closes", c.breaker_closes)
+            .field("fallback_served", c.fallback_served)
+            .field("reaps", r.pool_stats.reaps)
+            .field("quarantines", r.pool_stats.quarantines)
+            .field("breakers_closed", r.breakers_closed)
+            .field("phases", Value::List(phases.collect()))
+            .host("wall_secs", Value::float(r.wall_secs, 6))
     }
 }
 
@@ -483,6 +422,35 @@ mod tests {
         cfg
     }
 
+    fn loadgen(requests: u64, workers: usize) -> serve::LoadReport {
+        serve::run_loadgen(serve::LoadgenConfig {
+            requests,
+            workers,
+            ..serve::LoadgenConfig::default()
+        })
+        .unwrap()
+    }
+
+    fn soak(workers: usize) -> serve::SoakReport {
+        serve::run_soak(serve::SoakConfig {
+            seed: 1,
+            workers,
+            scale: 4,
+            ..serve::SoakConfig::default()
+        })
+        .unwrap()
+    }
+
+    /// The record with its `"host"` object emptied: what must repeat
+    /// byte for byte.
+    fn exact_json(rec: Record) -> String {
+        Record {
+            host: Vec::new(),
+            ..rec
+        }
+        .to_json()
+    }
+
     #[test]
     fn single_core_record_carries_the_cycle_ledger() {
         let r = BenchRecord::single_core("single_core", small_cfg(), 42).unwrap();
@@ -503,7 +471,7 @@ mod tests {
         let get = |name: &str| {
             r.breakdown
                 .iter()
-                .find(|(n, _)| n == name)
+                .find(|(n, _)| *n == name)
                 .map(|(_, c)| *c)
                 .unwrap()
         };
@@ -516,105 +484,120 @@ mod tests {
 
     #[test]
     fn host_throughput_record_is_verified_and_balanced() {
-        let r = host_throughput_for(small_cfg(), 42).unwrap();
+        let r = host_throughput(small_cfg(), 42).unwrap();
         assert!(r.cycles > 0 && r.instret > 0);
-        assert!(r.interp_secs > 0.0 && r.fast_secs > 0.0);
+        for s in [r.interp_secs, r.fast_secs, r.speedup] {
+            assert!(
+                s.min > 0.0 && s.min <= s.median && s.median <= s.max,
+                "{s:?}"
+            );
+        }
         // The small layer still caches well; the hot loops dominate.
-        assert!(r.hit_rate > 0.9, "hit rate {:.3}", r.hit_rate);
-        assert_eq!(r.interp_fallbacks, 0);
-        let j = r.to_json();
+        assert!(
+            r.stats.hit_rate() > 0.9,
+            "hit rate {:.3}",
+            r.stats.hit_rate()
+        );
+        assert_eq!(r.stats.interp_fallbacks, 0);
+    }
+
+    fn assert_balanced_with(j: &str, needles: &[&str]) {
         assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
-        for key in [
-            "\"speedup\"",
-            "\"block_cache_hit_rate\"",
-            "\"fast_cycles_per_sec\"",
-            "\"interp_fallbacks\"",
-        ] {
+        assert_eq!(j.matches('[').count(), j.matches(']').count(), "{j}");
+        for key in needles {
             assert!(j.contains(key), "missing {key} in:\n{j}");
         }
     }
 
     #[test]
     fn serving_record_json_is_balanced_and_sane() {
-        let rec = ServingRecord::run(serve::LoadgenConfig {
-            requests: 8,
-            workers: 2,
-            ..serve::LoadgenConfig::default()
-        })
-        .unwrap();
-        let r = &rec.report;
+        let r = loadgen(8, 2);
         assert_eq!(r.responses.len(), 8);
         assert!(r.sim_cycles.p50 <= r.sim_cycles.p99);
         assert!(r.sim_cycles.p99 <= r.sim_cycles.max);
-        let j = rec.to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
-        for key in [
-            "\"label\": \"serving\"",
-            "\"requests\": 8",
-            "\"digest\"",
-            "\"sim_cycles_p50\"",
-            "\"sim_cycles_p99\"",
-            "\"host_us_p99\"",
-            "\"sustained_req_per_sec\"",
-            "\"degraded\"",
-        ] {
-            assert!(j.contains(key), "missing {key} in:\n{j}");
-        }
+        assert_balanced_with(
+            &Record::from(&r).to_json(),
+            &[
+                "\"label\": \"serving\"",
+                "\"requests\": 8",
+                "\"digest\"",
+                "\"sim_cycles_p50\"",
+                "\"sim_cycles_p99\"",
+                "\"host_us_p99\"",
+                "\"sustained_req_per_sec\"",
+                "\"degraded\"",
+            ],
+        );
     }
 
     #[test]
     fn soak_record_json_is_balanced_and_sane() {
-        let rec = SoakRecord::run(serve::SoakConfig {
-            seed: 1,
-            workers: 2,
-            scale: 4,
-            ..serve::SoakConfig::default()
-        })
-        .unwrap();
-        let r = &rec.report;
+        let r = soak(2);
         assert_eq!(r.responses.len(), 32);
         assert!(r.lost_ids().is_empty());
         assert_eq!(r.phases.len(), 5);
-        let j = rec.to_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count(), "{j}");
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        for key in [
-            "\"label\": \"soak\"",
-            "\"requests\": 32",
-            "\"digest\"",
-            "\"shed_queue_full\"",
-            "\"shed_pressure\"",
-            "\"retried\"",
-            "\"timed_out\"",
-            "\"breaker_trips\"",
-            "\"reaps\"",
-            "\"quarantines\"",
-            "\"phase\": \"overload\"",
-            "\"phase\": \"recovery\"",
-        ] {
-            assert!(j.contains(key), "missing {key} in:\n{j}");
-        }
+        assert_balanced_with(
+            &Record::from(&r).to_json(),
+            &[
+                "\"label\": \"soak\"",
+                "\"requests\": 32",
+                "\"digest\"",
+                "\"shed_queue_full\"",
+                "\"shed_pressure\"",
+                "\"retried\"",
+                "\"timed_out\"",
+                "\"breaker_trips\"",
+                "\"reaps\"",
+                "\"quarantines\"",
+                "\"breakers_closed\": true",
+                "\"phase\": \"overload\"",
+                "\"phase\": \"recovery\"",
+            ],
+        );
     }
 
+    /// The cluster and host-throughput records carry their label and the
+    /// fields readers (and `ci.sh`) look up by name.
     #[test]
     fn json_is_balanced_and_carries_the_fields() {
-        let r = BenchRecord::cluster("cluster2", small_cfg(), 2, 42).unwrap();
-        let j = r.to_json();
-        assert_eq!(
-            j.matches('{').count(),
-            j.matches('}').count(),
-            "unbalanced braces:\n{j}"
+        assert_balanced_with(
+            &Record::from(&BenchRecord::cluster("cluster2", small_cfg(), 2, 42).unwrap()).to_json(),
+            &[
+                "\"label\": \"cluster2\"",
+                "\"cores\": 2",
+                "\"macs_per_cycle\"",
+                "\"bank_conflicts\"",
+                "\"per_core\"",
+                "\"utilization\"",
+            ],
         );
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        for key in [
-            "\"label\": \"cluster2\"",
-            "\"cores\": 2",
-            "\"macs_per_cycle\"",
-            "\"bank_conflicts\"",
-            "\"per_core\"",
-            "\"utilization\"",
-        ] {
-            assert!(j.contains(key), "missing {key} in:\n{j}");
-        }
+        assert_balanced_with(
+            &Record::from(&host_throughput(small_cfg(), 42).unwrap()).to_json(),
+            &[
+                "\"label\": \"host_throughput\"",
+                "\"samples\": 5",
+                "\"speedup\"",
+                "\"speedup_min\"",
+                "\"speedup_max\"",
+                "\"block_cache_hit_rate\"",
+                "\"fast_cycles_per_sec\"",
+                "\"interp_fallbacks\"",
+            ],
+        );
+    }
+
+    /// Every scheduling-dependent field sits under `"host"`: the rest of
+    /// a record repeats byte for byte across runs, and across worker
+    /// counts differs only in `"workers"`.
+    #[test]
+    fn host_fields_hold_everything_that_varies() {
+        assert_eq!(
+            exact_json(Record::from(&loadgen(64, 2))),
+            exact_json(Record::from(&loadgen(64, 2)))
+        );
+        let one = exact_json(Record::from(&soak(1)));
+        let two = exact_json(Record::from(&soak(2)));
+        assert_eq!(one.replace("\"workers\": 1,", "\"workers\": 2,"), two);
+        assert_ne!(one, two);
     }
 }

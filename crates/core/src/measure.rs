@@ -21,6 +21,12 @@ pub enum Error {
         /// The offending configuration.
         config: String,
     },
+    /// A decoded-block fast-path run did not reproduce its interpreted
+    /// partner bit for bit.
+    FastPathDiverged {
+        /// The offending configuration.
+        config: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -31,6 +37,10 @@ impl fmt::Display for Error {
             Error::Mismatch { config } => {
                 write!(f, "kernel {config} output does not match the golden model")
             }
+            Error::FastPathDiverged { config } => write!(
+                f,
+                "kernel {config}: the fast path is not bit-exact with the interpreter"
+            ),
         }
     }
 }

@@ -124,7 +124,7 @@ pub struct Trial {
     pub clean_cycles: u64,
 }
 
-/// Per-variant tallies.
+/// Per-variant tallies, of a single-core or a cluster campaign.
 #[derive(Debug, Clone)]
 pub struct VariantReport {
     /// Variant index.
@@ -142,6 +142,27 @@ pub struct VariantReport {
 }
 
 impl VariantReport {
+    /// An empty tally for `variant`.
+    pub(crate) fn new(variant: &Variant) -> VariantReport {
+        VariantReport {
+            index: variant.index,
+            name: variant.cfg.name(),
+            bits: variant.cfg.bits,
+            detected: 0,
+            masked: 0,
+            sdc: 0,
+        }
+    }
+
+    /// Counts one trial of outcome `class`.
+    pub(crate) fn record(&mut self, class: FaultClass) {
+        match class {
+            FaultClass::Detected => self.detected += 1,
+            FaultClass::Masked => self.masked += 1,
+            FaultClass::Sdc => self.sdc += 1,
+        }
+    }
+
     /// Total trials.
     pub fn trials(&self) -> u64 {
         self.detected + self.masked + self.sdc
@@ -171,12 +192,17 @@ pub struct CampaignReport {
     pub sdc_cases: Vec<(usize, u64)>,
 }
 
+/// `(detected, masked, sdc)` totals over `variants`.
+pub(crate) fn totals(variants: &[VariantReport]) -> (u64, u64, u64) {
+    variants.iter().fold((0, 0, 0), |(d, m, s), v| {
+        (d + v.detected, m + v.masked, s + v.sdc)
+    })
+}
+
 impl CampaignReport {
     /// `(detected, masked, sdc)` totals over all variants.
     pub fn totals(&self) -> (u64, u64, u64) {
-        self.variants.iter().fold((0, 0, 0), |(d, m, s), v| {
-            (d + v.detected, m + v.masked, s + v.sdc)
-        })
+        totals(&self.variants)
     }
 
     /// The exact command replaying one SDC case.
@@ -293,24 +319,13 @@ pub fn run_campaign(seed: u64, trials: u64) -> Result<CampaignReport, String> {
             ));
         }
         let clean_cycles = clean.report.perf.cycles;
-        let mut report = VariantReport {
-            index: variant.index,
-            name: variant.cfg.name(),
-            bits: variant.cfg.bits,
-            detected: 0,
-            masked: 0,
-            sdc: 0,
-        };
+        let mut report = VariantReport::new(&variant);
         for t in 0..trials {
             let fs = trial_seed(seed, variant.index as u64, t);
             let trial = run_trial(&variant, &tb, clean_cycles, fs, t);
-            match trial.class {
-                FaultClass::Detected => report.detected += 1,
-                FaultClass::Masked => report.masked += 1,
-                FaultClass::Sdc => {
-                    report.sdc += 1;
-                    sdc_cases.push((variant.index, t));
-                }
+            report.record(trial.class);
+            if trial.class == FaultClass::Sdc {
+                sdc_cases.push((variant.index, t));
             }
         }
         reports.push(report);
@@ -338,6 +353,7 @@ mod tests {
         }
         let names: Vec<String> = vs.iter().map(|v| v.cfg.name()).collect();
         let mut unique = names.clone();
+        unique.sort();
         unique.dedup();
         assert_eq!(names.len(), unique.len(), "variant names must be distinct");
     }

@@ -15,6 +15,7 @@
 //! transient fault model, restoring it and re-running disarmed is a
 //! complete recovery — checkpoint/rollback at cluster scale.
 
+use crate::campaign::{totals, VariantReport};
 use crate::plan::{FaultEvent, FaultPlan, FaultTarget, MemRegion, TargetSpace};
 use crate::FaultClass;
 use pulp_cluster::{ClusterConvTestbench, ClusterError, ClusterSim, ClusterSnapshot};
@@ -236,19 +237,6 @@ pub fn resume_disarmed(
     Ok(())
 }
 
-/// Per-variant tallies of a cluster campaign.
-#[derive(Debug, Clone)]
-pub struct ClusterVariantReport {
-    /// `ConvKernelConfig::name()` of the variant.
-    pub name: String,
-    /// Trials that trapped (any hart).
-    pub detected: u64,
-    /// Trials with golden output.
-    pub masked: u64,
-    /// Silent corruptions.
-    pub sdc: u64,
-}
-
 /// A whole cluster campaign.
 #[derive(Debug, Clone)]
 pub struct ClusterCampaignReport {
@@ -258,17 +246,9 @@ pub struct ClusterCampaignReport {
     pub trials: u64,
     /// Cluster size the campaign ran on.
     pub n_harts: usize,
-    /// One entry per variant, in [`crate::variants`] order.
-    pub variants: Vec<ClusterVariantReport>,
-}
-
-impl ClusterCampaignReport {
-    /// `(detected, masked, sdc)` totals over all variants.
-    pub fn totals(&self) -> (u64, u64, u64) {
-        self.variants.iter().fold((0, 0, 0), |(d, m, s), v| {
-            (d + v.detected, m + v.masked, s + v.sdc)
-        })
-    }
+    /// One entry per variant, in [`crate::variants`] order; a trial
+    /// counts as detected when any hart trapped.
+    pub variants: Vec<VariantReport>,
 }
 
 impl fmt::Display for ClusterCampaignReport {
@@ -293,7 +273,7 @@ impl fmt::Display for ClusterCampaignReport {
                 v.name, v.detected, v.masked, v.sdc
             )?;
         }
-        let (d, m, s) = self.totals();
+        let (d, m, s) = totals(&self.variants);
         writeln!(f, "cluster totals: detected={d} masked={m} sdc={s}")
     }
 }
@@ -337,20 +317,10 @@ pub fn run_cluster_campaign(
     let mut reports = Vec::new();
     for variant in crate::variants() {
         let (tb, clean_clock) = stage_clean(&variant.cfg, n_harts)?;
-        let mut report = ClusterVariantReport {
-            name: variant.cfg.name(),
-            detected: 0,
-            masked: 0,
-            sdc: 0,
-        };
+        let mut report = VariantReport::new(&variant);
         for t in 0..trials {
             let fs = crate::trial_seed(seed, variant.index as u64, t);
-            let (class, _) = run_cluster_trial(&tb, clean_clock, fs);
-            match class {
-                FaultClass::Detected => report.detected += 1,
-                FaultClass::Masked => report.masked += 1,
-                FaultClass::Sdc => report.sdc += 1,
-            }
+            report.record(run_cluster_trial(&tb, clean_clock, fs).0);
         }
         reports.push(report);
     }
@@ -468,11 +438,11 @@ mod tests {
     #[test]
     fn eight_hart_smoke_campaign_classifies_all_outcomes() {
         let r = run_cluster_campaign(1, 3, 8).expect("campaign runs");
-        let (d, m, s) = r.totals();
+        let (d, m, s) = totals(&r.variants);
         assert_eq!(d + m + s, 24);
         assert!(m > 0, "no masked faults in {r}");
         // Deterministic: same seed, same totals.
         let r2 = run_cluster_campaign(1, 3, 8).expect("campaign runs");
-        assert_eq!(r.totals(), r2.totals());
+        assert_eq!(totals(&r.variants), totals(&r2.variants));
     }
 }

@@ -8,6 +8,7 @@
 use riscv_core::perf::ALL_CYCLE_CLASSES;
 use riscv_core::CycleClass;
 use xpulpnn::measure::{measure_paper_layer, profile_paper_layer};
+use xpulpnn::report::Record;
 use xpulpnn::{BitWidth, KernelIsa};
 
 /// `cycles == Σ bucket cycles` for all 12 paper-layer variants
@@ -87,7 +88,7 @@ fn profile_is_consistent_with_measurement() {
         assert!(w[0].cycles >= w[1].cycles);
     }
 
-    let json = p.to_json();
+    let json = Record::from(&p).to_json();
     assert!(json.contains(&format!("\"cycles\": {}", p.perf.cycles)));
     assert!(json.contains(&format!("\"total\": {}", p.perf.cycles)));
 }
