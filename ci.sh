@@ -12,6 +12,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --locked -- -D warnings
 
+# The benchmark crate is a workspace of its own, so neither command
+# above reaches it.
+echo "==> xbench: cargo fmt --check, cargo clippy (-D warnings)"
+cargo fmt --manifest-path xbench/Cargo.toml -- --check
+cargo clippy --manifest-path xbench/Cargo.toml --all-targets --locked -- -D warnings
+
 echo "==> tier-1: cargo build --release"
 cargo build --release --locked
 

@@ -364,6 +364,66 @@ mod tests {
         );
     }
 
+    /// Restore touches only the pages marked dirty, so every way of
+    /// dirtying L2 must mark them — including accesses that straddle a
+    /// 4 KiB page boundary. Memory dirtied by a misaligned `sw`, a
+    /// host `write_bytes`, a vector store and an armed memory flip must
+    /// all roll back to exactly a fresh machine's image.
+    #[test]
+    fn restore_after_page_straddling_writes_matches_a_fresh_restore() {
+        use pulp_asm::Asm;
+        use pulp_isa::vec::{VReg, VecSew};
+        use pulp_soc::{CODE_BASE, L2_BASE, L2_SIZE};
+        use riscv_core::IsaConfig;
+
+        let src = L2_BASE + 0x2_0000;
+        let vec_dst = L2_BASE + 0x3_0ff8; // 16 bytes over pages 0x30/0x31
+        let word_dst = L2_BASE + 0x4_0ffe; // 4 bytes over pages 0x40/0x41
+        let host_dst = L2_BASE + 0x2_0ff0; // stored page 0x20 into 0x21
+        let flip = L2_BASE + 0x6_0010;
+
+        let mut a = Asm::new(CODE_BASE);
+        a.li(Reg::T0, 16);
+        a.vsetvli(Reg::T1, Reg::T0, VecSew::E8);
+        a.li(Reg::A1, src as i32);
+        a.vle(VReg::new(1).unwrap(), Reg::A1);
+        a.li(Reg::A2, vec_dst as i32);
+        a.vse(VReg::new(1).unwrap(), Reg::A2);
+        a.li(Reg::A0, 0x1122_3344);
+        a.li(Reg::A3, word_dst as i32);
+        a.sw(Reg::A0, 0, Reg::A3);
+        a.ecall();
+        let mut soc = Soc::with_vlen(IsaConfig::vector(), 128);
+        soc.load(&a.assemble().unwrap());
+        let payload: Vec<u8> = (1..=16).collect();
+        soc.mem.write_bytes(src, &payload);
+        let snap = soc.snapshot();
+
+        soc.mem.write_bytes(host_dst, &[0xab; 32]);
+        let plan = FaultPlan {
+            seed: 0,
+            events: vec![FaultEvent {
+                cycle: 0,
+                domain: FaultDomain::DataMemory,
+                target: FaultTarget::Memory { addr: flip, bit: 3 },
+            }],
+        };
+        let armed = run_armed(&mut soc, &plan, &ArmConfig::default());
+        assert!(armed.exit.expect("halts").halted);
+        assert_eq!(armed.injections.len(), 1);
+        assert_eq!(soc.mem.read_bytes(vec_dst, 16), &payload[..]);
+        assert_eq!(soc.mem.read_bytes(word_dst, 4), &[0x44, 0x33, 0x22, 0x11]);
+        assert_eq!(soc.mem.read_bytes(host_dst, 32), &[0xab; 32]);
+        assert_eq!(soc.mem.read_bytes(flip, 1), &[1 << 3]);
+
+        soc.restore(&snap);
+        let mut fresh = Soc::new(IsaConfig::vector());
+        fresh.restore(&snap);
+        let whole = |soc: &Soc| soc.mem.read_bytes(L2_BASE, L2_SIZE as usize).to_vec();
+        assert!(whole(&soc) == whole(&fresh), "restored L2 image differs");
+        assert_eq!(soc.snapshot(), snap);
+    }
+
     fn soc_total(soc: &Soc) -> u64 {
         soc.core.perf.cycles
     }

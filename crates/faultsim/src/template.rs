@@ -18,8 +18,9 @@ use xrand::Rng;
 pub struct TemplateStrike {
     /// The seed the strike was derived from (for replay/reporting).
     pub seed: u64,
-    /// Byte offset into the snapshot's L2 image (wrapped into range at
-    /// apply time).
+    /// Byte offset into the logical 512 KiB L2 image (wrapped into
+    /// range at apply time). The snapshot stores only non-zero pages; a
+    /// strike on an absent page stores it, so the checksum still fails.
     pub offset: usize,
     /// Bit index in `0..8`.
     pub bit: u8,

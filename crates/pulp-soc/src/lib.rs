@@ -58,20 +58,57 @@ pub const CONSOLE_ADDR: u32 = 0x1a10_0000;
 /// Initial stack pointer: top of L2.
 pub const STACK_TOP: u32 = L2_BASE + L2_SIZE;
 
+/// Granule of [`SocSnapshot`]'s sparse L2 image and of [`SocMem`]'s
+/// dirty tracking.
+const PAGE_SIZE: usize = 4 * 1024;
+
+/// The pages of `mask`, ascending.
+fn pages(mut mask: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let page = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            page
+        })
+    })
+}
+
+/// The bytes of L2 page `page`.
+fn page_range(page: usize) -> std::ops::Range<usize> {
+    page * PAGE_SIZE..(page + 1) * PAGE_SIZE
+}
+
 /// The SoC memory system: L2 SRAM plus peripherals.
 #[derive(Debug, Clone)]
 pub struct SocMem {
     l2: Vec<u8>,
+    /// Bit `p` is set when L2 page `p` may be non-zero: it was written
+    /// since the last [`Soc::restore`], or that restore copied it in.
+    /// Every page with a clear bit is all zero.
+    dirty: u128,
     console: Vec<u8>,
 }
+
+// One bit of `SocMem::dirty` per L2 page.
+const _: () = assert!(L2_SIZE as usize / PAGE_SIZE == u128::BITS as usize);
 
 impl SocMem {
     /// Creates zeroed SRAM and an empty console buffer.
     pub fn new() -> SocMem {
         SocMem {
             l2: vec![0; L2_SIZE as usize],
+            dirty: 0,
             console: Vec::new(),
         }
+    }
+
+    /// Marks every page that the `len >= 1` bytes at L2 offset `off`
+    /// touch as possibly non-zero.
+    #[inline]
+    fn mark_dirty(&mut self, off: usize, len: usize) {
+        let first = off / PAGE_SIZE;
+        let last = (off + len - 1) / PAGE_SIZE;
+        self.dirty |= (u128::MAX >> (127 - (last - first))) << first;
     }
 
     #[inline]
@@ -99,6 +136,10 @@ impl SocMem {
         let off = self
             .l2_offset(addr, bytes.len() as u32)
             .unwrap_or_else(|| panic!("host write outside L2: {addr:#010x}"));
+        if bytes.is_empty() {
+            return;
+        }
+        self.mark_dirty(off, bytes.len());
         self.l2[off..off + bytes.len()].copy_from_slice(bytes);
     }
 
@@ -156,6 +197,7 @@ impl Bus for SocMem {
             return Ok(());
         }
         if let Some(off) = self.l2_offset(addr, size) {
+            self.mark_dirty(off, size as usize);
             for i in 0..size as usize {
                 self.l2[off + i] = (value >> (8 * i)) as u8;
             }
@@ -183,10 +225,15 @@ pub struct RunReport {
 /// [`Snapshot`] plus the L2 image and console buffer. Restoring it and
 /// re-running is deterministic, which is what rollback recovery and
 /// fault replay build on.
+///
+/// The L2 image is page-sparse: only its non-zero 4 KiB pages are
+/// stored, as `(index, bytes)` in ascending index order, and every
+/// absent page is all zero. The form is canonical — no stored page is
+/// all zero — so two snapshots of the same logical state compare equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SocSnapshot {
     core: Snapshot,
-    l2: Vec<u8>,
+    pages: Vec<(usize, Box<[u8]>)>,
     console: Vec<u8>,
 }
 
@@ -201,11 +248,18 @@ impl SocSnapshot {
         self.core.pc()
     }
 
+    /// Number of non-zero 4 KiB L2 pages the checkpoint stores (of the
+    /// 128 that make up L2).
+    pub fn stored_pages(&self) -> usize {
+        self.pages.len()
+    }
+
     /// FNV-1a style checksum over the whole checkpoint: the core's
-    /// architectural state, the L2 image (folded 8 bytes at a time) and
-    /// the console buffer. Two snapshots compare equal iff their
+    /// architectural state, each stored L2 page's index and bytes
+    /// (folded 8 bytes at a time) and the console buffer. Since the
+    /// stored form is canonical, two snapshots compare equal iff their
     /// checksums do for all practical purposes; the serving layer
-    /// verifies it on every template fork to catch corrupted state
+    /// verifies it before every request to catch a corrupted template
     /// before it reaches a worker.
     pub fn checksum(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -214,14 +268,14 @@ impl SocSnapshot {
             h ^= x;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
-        let mut chunks = self.l2.chunks_exact(8);
-        for c in &mut chunks {
-            fold(u64::from_le_bytes([
-                c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-            ]));
-        }
-        for &b in chunks.remainder() {
-            fold(u64::from(b));
+        fold(self.pages.len() as u64);
+        for (index, bytes) in &self.pages {
+            fold(*index as u64);
+            for c in bytes.chunks_exact(8) {
+                fold(u64::from_le_bytes([
+                    c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
+                ]));
+            }
         }
         fold(self.console.len() as u64);
         for &b in &self.console {
@@ -230,14 +284,29 @@ impl SocSnapshot {
         h
     }
 
-    /// Fault-injection hook: flips one bit of the L2 image inside the
-    /// checkpoint (offset is wrapped into range). Models a soft error
-    /// striking a stored template/checkpoint while it sits in host
-    /// memory — exactly what [`SocSnapshot::checksum`] verification is
-    /// there to catch. Never used on the clean serving path.
+    /// Fault-injection hook: flips one bit of the logical 512 KiB L2
+    /// image inside the checkpoint (offset is wrapped into range). A
+    /// strike on an absent page stores that page; a strike that
+    /// returns a page to all zero drops it, keeping the form
+    /// canonical. Models a soft error striking a stored
+    /// template/checkpoint while it sits in host memory — exactly what
+    /// [`SocSnapshot::checksum`] verification is there to catch. Never
+    /// used on the clean serving path.
     pub fn corrupt_l2_bit(&mut self, offset: usize, bit: u8) {
-        let off = offset % self.l2.len();
-        self.l2[off] ^= 1 << (bit % 8);
+        let off = offset % L2_SIZE as usize;
+        let page = off / PAGE_SIZE;
+        let at = match self.pages.binary_search_by_key(&page, |(index, _)| *index) {
+            Ok(at) => at,
+            Err(at) => {
+                self.pages.insert(at, (page, vec![0; PAGE_SIZE].into()));
+                at
+            }
+        };
+        let bytes = &mut self.pages[at].1;
+        bytes[off % PAGE_SIZE] ^= 1 << (bit % 8);
+        if bytes.iter().all(|&b| b == 0) {
+            self.pages.remove(at);
+        }
     }
 }
 
@@ -316,23 +385,43 @@ impl Soc {
         Ok(RunReport { exit, perf })
     }
 
-    /// Captures a checkpoint of the core and the full memory image.
+    /// Captures a checkpoint of the core and the memory image. Only
+    /// pages marked dirty are scanned, and only the non-zero ones among
+    /// them are stored.
     pub fn snapshot(&self) -> SocSnapshot {
+        let l2 = &self.mem.l2;
         SocSnapshot {
             core: self.core.snapshot(),
-            l2: self.mem.l2.clone(),
+            pages: pages(self.mem.dirty)
+                .map(|page| (page, &l2[page_range(page)]))
+                .filter(|(_, bytes)| bytes.iter().any(|&b| b != 0))
+                .map(|(page, bytes)| (page, bytes.into()))
+                .collect(),
             console: self.mem.console.clone(),
         }
     }
 
-    /// Restores a checkpoint taken with [`Soc::snapshot`]. An attached
-    /// tracer on the core stays attached untouched.
+    /// Restores a checkpoint taken with [`Soc::snapshot`]. Only pages
+    /// that may differ are touched: dirty pages the checkpoint does not
+    /// store are zeroed, stored pages are copied in, and afterwards
+    /// exactly the stored pages are marked dirty. An attached tracer on
+    /// the core stays attached untouched.
     pub fn restore(&mut self, snap: &SocSnapshot) {
         self.core.restore(&snap.core);
-        self.mem.l2.clear();
-        self.mem.l2.extend_from_slice(&snap.l2);
-        self.mem.console.clear();
-        self.mem.console.extend_from_slice(&snap.console);
+        let stored = snap
+            .pages
+            .iter()
+            .fold(0u128, |mask, (page, _)| mask | 1 << page);
+        let mem = &mut self.mem;
+        for page in pages(mem.dirty & !stored) {
+            mem.l2[page_range(page)].fill(0);
+        }
+        for (page, bytes) in &snap.pages {
+            mem.l2[page_range(*page)].copy_from_slice(bytes);
+        }
+        mem.dirty = stored;
+        mem.console.clear();
+        mem.console.extend_from_slice(&snap.console);
     }
 
     /// The console output interpreted as UTF-8 (lossy).
@@ -575,6 +664,43 @@ mod tests {
         let mut other = Soc::new(IsaConfig::xpulpnn());
         other.restore(&snap);
         assert_eq!(other.snapshot().checksum(), sum);
+    }
+
+    /// Canonical sparse form: a strike on an absent page stores that
+    /// page and changes the checksum; striking it again drops the page,
+    /// so the snapshot compares equal to the original, not merely
+    /// checksum-equal. A page written back to zero is not stored either.
+    #[test]
+    fn strike_on_absent_page_is_visible_and_double_strike_is_canonical() {
+        let mut a = Asm::new(CODE_BASE);
+        a.li(Reg::A0, 5);
+        a.ecall();
+        let prog = a.assemble().unwrap();
+        let mut soc = Soc::new(IsaConfig::xpulpnn());
+        soc.load(&prog);
+        let snap = soc.snapshot();
+        let absent = 0x4_0123;
+        assert!(snap.pages.iter().all(|(p, _)| *p != absent / PAGE_SIZE));
+
+        let mut bad = snap.clone();
+        bad.corrupt_l2_bit(absent + L2_SIZE as usize, 6); // wraps
+        assert_eq!(bad.stored_pages(), snap.stored_pages() + 1);
+        assert_ne!(bad.checksum(), snap.checksum());
+        assert_ne!(bad, snap);
+
+        // Restoring the struck checkpoint shows the bit in L2.
+        let mut other = Soc::new(IsaConfig::xpulpnn());
+        other.restore(&bad);
+        assert_eq!(other.mem.read_bytes(L2_BASE + absent as u32, 1), &[1 << 6]);
+        assert_eq!(other.snapshot(), bad);
+
+        bad.corrupt_l2_bit(absent, 6);
+        assert_eq!(bad, snap);
+        assert_eq!(bad.checksum(), snap.checksum());
+
+        soc.mem.write_bytes(L2_BASE + absent as u32, &[9]);
+        soc.mem.write_bytes(L2_BASE + absent as u32, &[0]);
+        assert_eq!(soc.snapshot(), snap);
     }
 
     /// Vector-backend plumbing pin: a `with_vlen` SoC runs Xrvv code

@@ -479,6 +479,9 @@ pub enum FastBug {
 #[derive(Debug, Clone)]
 pub struct BlockCache {
     slots: Vec<Option<Arc<Block>>>,
+    /// Indices of the occupied `slots`, so a flush touches only those
+    /// (a run fills a few dozen of the 4096).
+    filled: Vec<usize>,
     /// The block being replayed and the index of the *next* op —
     /// consecutive ops (and back-edges to the block head) are served
     /// without touching the table.
@@ -499,6 +502,7 @@ impl BlockCache {
     pub(crate) fn new(isa: IsaConfig) -> BlockCache {
         BlockCache {
             slots: vec![None; BLOCK_SLOTS],
+            filled: Vec::new(),
             cursor: None,
             isa,
             code_lo: u32::MAX,
@@ -510,7 +514,9 @@ impl BlockCache {
 
     /// Drops every cached block and the covered-code span.
     pub(crate) fn flush(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = None);
+        for slot in self.filled.drain(..) {
+            self.slots[slot] = None;
+        }
         self.cursor = None;
         self.code_lo = u32::MAX;
         self.code_hi = 0;
@@ -626,7 +632,10 @@ impl BlockCache {
         // Direct-mapped: a colliding start simply evicts the old block
         // (it re-translates if re-entered), which also bounds the
         // cache at `BLOCK_SLOTS` without a capacity flush.
-        self.slots[Self::slot_of(start)] = Some(Arc::clone(&block));
+        let slot = Self::slot_of(start);
+        if self.slots[slot].replace(Arc::clone(&block)).is_none() {
+            self.filled.push(slot);
+        }
         self.cursor = Some((Arc::clone(&block), 1));
         Ok(block)
     }

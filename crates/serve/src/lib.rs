@@ -5,7 +5,7 @@
 //!
 //! * [`WorkerTemplate`] — one pre-warmed, health-checked template per
 //!   kernel [`Variant`]: program build, weight/threshold staging and
-//!   golden-model wiring paid once; workers fork from its
+//!   golden-model wiring paid once; workers fork from its page-sparse
 //!   `SocSnapshot` in a single restore.
 //! * [`BoundedQueue`] — bounded MPMC work queue with typed
 //!   backpressure ([`SubmitError::Overloaded`]) and drain-on-close.

@@ -12,8 +12,9 @@
 //!
 //! Robustness machinery (PR 8):
 //!
-//! * **Template integrity** — every cold fork re-verifies the
-//!   template's FNV checksum ([`WorkerTemplate::verify`]); a corrupted
+//! * **Template integrity** — every request, warm reruns included,
+//!   re-verifies its template's FNV checksum
+//!   ([`WorkerTemplate::verify`]) before the warm/cold decision; a corrupted
 //!   template is quarantined and rebuilt from scratch before any
 //!   worker forks from it (`quarantines` in [`PoolStats`]).
 //! * **Heartbeats** — a monitor thread watches per-worker busy
@@ -158,8 +159,8 @@ pub struct PoolConfig {
     /// far above the per-request host cost; reaping is for wedged
     /// workers, not slow ones.
     pub heartbeat_horizon_ms: u64,
-    /// Re-verify the template checksum before every cold fork and
-    /// quarantine-and-rebuild corrupted templates. Verification never
+    /// Re-verify the template checksum before every request (warm
+    /// reruns included) and quarantine-and-rebuild corrupted templates. Verification never
     /// changes response content, only whether corruption is caught at
     /// fork time or by the (golden-checked) degradation ladder.
     pub verify_forks: bool,
@@ -535,8 +536,8 @@ impl ServePool {
 
     /// Fault-injection hook: applies a seeded [`TemplateStrike`] to
     /// the stored template for `variant`, leaving its build-time
-    /// checksum untouched. The next verified cold fork must detect
-    /// the corruption and quarantine-and-rebuild the template.
+    /// checksum untouched. The next verified request for `variant` must
+    /// detect the corruption and quarantine-and-rebuild the template.
     pub fn corrupt_template(&self, variant: Variant, strike_seed: u64) {
         let mut slot = sync::lock(&self.shared.templates[variant.index()]);
         let mut t = (**slot).clone();
@@ -1091,6 +1092,29 @@ mod tests {
         let report = pool.shutdown();
         assert_eq!(report.responses.len(), 3);
         assert!(report.responses.iter().all(|r| r.outcome == Outcome::Ok));
+        assert_eq!(report.stats.quarantines, 1);
+    }
+
+    #[test]
+    fn strike_between_warm_requests_is_quarantined_before_the_rerun() {
+        // Verification runs on every request, not only on cold forks:
+        // a template struck after request 0 is caught before request 1
+        // is served warm on the same worker's staged machine.
+        let pool = ServePool::start(PoolConfig {
+            workers: 1,
+            ..PoolConfig::default()
+        })
+        .unwrap();
+        pool.submit_blocking(valid_request(&pool, 0, Variant::W4, 3))
+            .unwrap();
+        pool.wait_completed(1);
+        pool.corrupt_template(Variant::W4, 77);
+        pool.submit_blocking(valid_request(&pool, 1, Variant::W4, 5))
+            .unwrap();
+        let report = pool.shutdown();
+        assert_eq!(report.responses.len(), 2);
+        assert!(report.responses.iter().all(|r| r.outcome == Outcome::Ok));
+        assert!(report.responses[1].warm, "second request must run warm");
         assert_eq!(report.stats.quarantines, 1);
     }
 

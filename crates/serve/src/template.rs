@@ -4,8 +4,9 @@
 //! Building a template pays the expensive, request-independent work
 //! exactly once: kernel generation/assembly, program load, weight and
 //! threshold-tree staging. A worker then *forks* from the template —
-//! `Soc::new` + `restore` — in one L2 memcpy, amortizing program build
-//! and weight staging to zero per request. `Soc::restore` flushes the
+//! `Soc::new` + `restore`, which copies in only the few non-zero L2
+//! pages the snapshot stores — amortizing program build and weight
+//! staging to zero per request. `Soc::restore` flushes the
 //! decoded-block cache unconditionally (pinned by tests in `pulp-soc`
 //! and this crate), so a fork can never replay blocks decoded from
 //! another program or a poisoned predecessor.
@@ -104,7 +105,7 @@ pub struct WorkerTemplate {
     /// + threshold trees in L2, pc at the entry, cycle counter 0.
     snapshot: SocSnapshot,
     /// FNV checksum of `snapshot` recorded at build time; re-verified
-    /// before every fork so a corrupted template is caught before it
+    /// before every request so a corrupted template is caught before it
     /// poisons a worker (see [`WorkerTemplate::verify`]).
     checksum: u64,
     /// Fault-free runtime of the health-check run; bounds chaos-mode
@@ -227,10 +228,11 @@ impl WorkerTemplate {
     }
 
     /// Re-verifies the stored snapshot against the build-time checksum.
-    /// Called before every fork when the pool runs with fork
-    /// verification on: a template whose host-memory image was struck
-    /// (bit rot, a stray write, [`WorkerTemplate::corrupt`]) must be
-    /// quarantined and rebuilt, never forked.
+    /// Called before every request — warm reruns included — when the
+    /// pool runs with fork verification on: a template whose
+    /// host-memory image was struck (bit rot, a stray write,
+    /// [`WorkerTemplate::corrupt`]) must be quarantined and rebuilt,
+    /// never forked.
     ///
     /// # Errors
     ///
@@ -313,6 +315,18 @@ mod tests {
             assert!(t.clean_cycles() > 0, "{v}");
             assert!(t.budget() > t.clean_cycles(), "{v}");
             assert!(t.input_len() > 0 && t.output_len() > 0, "{v}");
+        }
+    }
+
+    /// Footprint pin: a template's snapshot stores only the pages the
+    /// staged kernel occupies, so a fork or a verify never touches the
+    /// whole 512 KiB image.
+    #[test]
+    fn templates_store_at_most_eight_pages() {
+        for v in Variant::ALL {
+            let t = WorkerTemplate::build(v, 42).unwrap();
+            let stored = t.snapshot.stored_pages();
+            assert!(stored <= 8, "{v}: {stored} of 128 pages stored");
         }
     }
 
