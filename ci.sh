@@ -83,6 +83,10 @@ cargo run --release -q --locked -p xpulpnn-cli -- conformance --cases 1000 --see
 # semantics (vl, SEW and all 32 vector registers compared per step).
 echo "==> conformance vector lockstep (300 cases, seed 1)"
 cargo run --release -q --locked -p xpulpnn-cli -- conformance --vector --cases 300 --seed 1
+# A second, longer seed: it is the one that reaches a vdot whose
+# sources hold stale bits past a vl that ends mid-word.
+echo "==> conformance vector lockstep (3000 cases, seed 7)"
+cargo run --release -q --locked -p xpulpnn-cli -- conformance --vector --cases 3000 --seed 7
 
 # Fast-path lockstep oracle: the decoded-block engine against the
 # interpreter over the fuzzer corpus, per-step state + perf compared,

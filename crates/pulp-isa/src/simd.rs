@@ -249,25 +249,62 @@ pub const ALL_DOT_SIGNS: [DotSign; 3] = [
     DotSign::SignedSigned,
 ];
 
+/// Dot product with lane width and operand signedness fixed at compile
+/// time: the const generics let the compiler fully unroll the lane loop
+/// and drop every per-lane branch.
+#[inline(always)]
+fn dot_mono<const BITS: u32, const SA: bool, const SB: bool>(a: u32, b: u32) -> u32 {
+    let lanes = 32 / BITS;
+    let mask = (1u32 << BITS) - 1;
+    let ext = 32 - BITS;
+    let mut acc = 0u32;
+    let mut i = 0;
+    while i < lanes {
+        let ua = (a >> (i * BITS)) & mask;
+        let ub = (b >> (i * BITS)) & mask;
+        let x: i64 = if SA {
+            (((ua << ext) as i32) >> ext) as i64
+        } else {
+            ua as i64
+        };
+        let y: i64 = if SB {
+            (((ub << ext) as i32) >> ext) as i64
+        } else {
+            ub as i64
+        };
+        acc = acc.wrapping_add((x * y) as u32);
+        i += 1;
+    }
+    acc
+}
+
 /// Computes the packed dot product `sum_i a[i] * b[i]` as a 32-bit value.
 ///
 /// Lane values are extended according to `sign` before multiplication;
 /// the accumulation wraps modulo 2³², matching the 32-bit adder tree of
 /// the dot-product unit (Fig. 3 of the paper).
+///
+/// The twelve-way `(fmt, sign)` match compiles to a jump table whose
+/// arms inline fully unrolled lane loops, so a caller that always
+/// passes the same pair (a kernel loop, a vector register fold) pays
+/// one predicted indirect branch per word.
+#[inline]
 pub fn dotp(fmt: SimdFmt, sign: DotSign, a: u32, b: u32) -> u32 {
-    let mut acc = 0u32;
-    for i in 0..fmt.lanes() {
-        let x = match sign {
-            DotSign::UnsignedUnsigned | DotSign::UnsignedSigned => lane_u(fmt, a, i) as i64,
-            DotSign::SignedSigned => lane_s(fmt, a, i) as i64,
+    macro_rules! pick {
+        ($bits:expr) => {
+            match sign {
+                DotSign::UnsignedUnsigned => dot_mono::<$bits, false, false>(a, b),
+                DotSign::UnsignedSigned => dot_mono::<$bits, false, true>(a, b),
+                DotSign::SignedSigned => dot_mono::<$bits, true, true>(a, b),
+            }
         };
-        let y = match sign {
-            DotSign::UnsignedUnsigned => lane_u(fmt, b, i) as i64,
-            DotSign::UnsignedSigned | DotSign::SignedSigned => lane_s(fmt, b, i) as i64,
-        };
-        acc = acc.wrapping_add((x * y) as u32);
     }
-    acc
+    match fmt {
+        SimdFmt::Half => pick!(16),
+        SimdFmt::Byte => pick!(8),
+        SimdFmt::Nibble => pick!(4),
+        SimdFmt::Crumb => pick!(2),
+    }
 }
 
 /// Computes the packed sum-of-dot-product `acc + sum_i a[i] * b[i]`.

@@ -190,6 +190,21 @@ impl Bus for SocMem {
         })
     }
 
+    /// One copy when the whole span lies in L2; otherwise byte beats,
+    /// so a fault names the first unmapped byte and `buf` keeps the
+    /// bytes before it.
+    #[inline]
+    fn read_block(&mut self, addr: u32, buf: &mut [u8]) -> Result<(), BusError> {
+        if let Some(off) = self.l2_offset(addr, buf.len() as u32) {
+            buf.copy_from_slice(&self.l2[off..off + buf.len()]);
+            return Ok(());
+        }
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = self.read(addr.wrapping_add(i as u32), 1)? as u8;
+        }
+        Ok(())
+    }
+
     #[inline]
     fn write(&mut self, addr: u32, size: u32, value: u32) -> Result<(), BusError> {
         if addr == CONSOLE_ADDR {
@@ -746,6 +761,105 @@ mod tests {
         let mut replay = soc.clone();
         replay.restore(&snap);
         assert_eq!(replay.run(1000).unwrap(), r);
+    }
+
+    /// Forwards only `read` and `write`, so `read_block` takes the
+    /// trait's one-beat-per-byte default: the oracle for `SocMem`'s
+    /// bulk override.
+    struct Beats<'a>(&'a mut SocMem);
+
+    impl Bus for Beats<'_> {
+        fn read(&mut self, addr: u32, size: u32) -> Result<u32, BusError> {
+            self.0.read(addr, size)
+        }
+
+        fn write(&mut self, addr: u32, size: u32, value: u32) -> Result<(), BusError> {
+            self.0.write(addr, size, value)
+        }
+    }
+
+    #[test]
+    fn read_block_equals_byte_reads() {
+        let mut mem = SocMem::new();
+        let bytes: Vec<u8> = (0..64u32).map(|i| (i * 37 + 5) as u8).collect();
+        mem.write_bytes(L2_BASE, &bytes);
+        mem.write_bytes(L2_BASE + L2_SIZE - 64, &bytes);
+        let end = L2_BASE + L2_SIZE;
+        let spans = [
+            (L2_BASE, 32, Ok(())),
+            (L2_BASE + 3, 17, Ok(())),
+            (end - 32, 32, Ok(())),
+            (end, 0, Ok(())),
+            (end - 5, 16, Err(end)),
+            (L2_BASE - 2, 8, Err(L2_BASE - 2)),
+            (CONSOLE_ADDR, 4, Err(CONSOLE_ADDR)),
+        ];
+        for (addr, len, fault) in spans {
+            let (mut bulk, mut beats) = ([0xaa_u8; 32], [0xaa_u8; 32]);
+            let got = mem.read_block(addr, &mut bulk[..len]);
+            let want = Beats(&mut mem).read_block(addr, &mut beats[..len]);
+            assert_eq!(got, want, "{addr:#010x}+{len}");
+            assert_eq!(bulk, beats, "{addr:#010x}+{len}");
+            let fault = fault.map_err(|addr| BusError {
+                addr,
+                size: 1,
+                write: false,
+            });
+            assert_eq!(got, fault, "{addr:#010x}+{len}");
+        }
+        let mut buf = [0u8; 17];
+        mem.read_block(L2_BASE + 3, &mut buf).unwrap();
+        assert_eq!(buf, bytes[3..20]);
+    }
+
+    /// A `vle.v` whose span runs past the end of L2 traps on the first
+    /// unmapped byte and leaves `vd` holding the bytes before it, tail
+    /// zeroed, exactly as one byte beat per byte does.
+    #[test]
+    fn faulting_vle_matches_byte_beats() {
+        use pulp_isa::vec::{VReg, VecSew};
+
+        let end = L2_BASE + L2_SIZE;
+        let v3 = VReg::new(3).unwrap();
+        for vlen in [128, 256] {
+            let mut a = Asm::new(CODE_BASE);
+            a.vsetvli(Reg::T1, Reg::Zero, VecSew::E8);
+            // Fill v3 first so the faulting load must clear it.
+            a.li(Reg::A1, (L2_BASE + 0x2_0000) as i32);
+            a.vle(v3, Reg::A1);
+            a.li(Reg::A1, (end - 5) as i32);
+            a.vle(v3, Reg::A1);
+            a.ecall();
+            let prog = a.assemble().unwrap();
+            let mut soc = Soc::with_vlen(IsaConfig::vector(), vlen);
+            soc.load(&prog);
+            soc.mem.write_bytes(L2_BASE + 0x2_0000, &[0xee; 32]);
+            soc.mem
+                .write_bytes(end - 5, &[0x11, 0x22, 0x33, 0x44, 0x55]);
+            let mut beats = soc.clone();
+
+            let trap = soc.run(1000).unwrap_err();
+            let want = beats
+                .core
+                .run(&mut Beats(&mut beats.mem), 1000)
+                .unwrap_err();
+            assert_eq!(trap, want, "VLEN {vlen}");
+            let Trap::Bus { error, .. } = trap else {
+                panic!("VLEN {vlen}: {trap:?} is not a bus trap");
+            };
+            assert_eq!(
+                error,
+                BusError {
+                    addr: end,
+                    size: 1,
+                    write: false
+                }
+            );
+            let vd = |s: &Soc| *s.core.vector_unit().unwrap().vreg_bytes(3);
+            assert_eq!(vd(&soc), vd(&beats), "VLEN {vlen}");
+            assert_eq!(vd(&soc)[..5], [0x11, 0x22, 0x33, 0x44, 0x55]);
+            assert!(vd(&soc)[5..].iter().all(|b| *b == 0), "VLEN {vlen}");
+        }
     }
 
     #[test]

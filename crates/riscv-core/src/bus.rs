@@ -55,6 +55,22 @@ pub trait Bus {
     fn fetch(&mut self, addr: u32) -> Result<u32, BusError> {
         self.read(addr, 4)
     }
+
+    /// Fills `buf` from the consecutive bytes at `addr` (addresses
+    /// wrap). Defaults to one 1-byte [`Bus::read`] beat per byte, so an
+    /// implementation that observes beats sees every one; an override
+    /// must give the same bytes and the same error.
+    ///
+    /// # Errors
+    ///
+    /// The [`BusError`] of the first unmapped byte; `buf` keeps the
+    /// bytes read before it.
+    fn read_block(&mut self, addr: u32, buf: &mut [u8]) -> Result<(), BusError> {
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = self.read(addr.wrapping_add(i as u32), 1)? as u8;
+        }
+        Ok(())
+    }
 }
 
 /// A flat RAM covering `[base, base + len)`, for unit tests and simple

@@ -958,7 +958,7 @@ impl Core {
                     DotOp2::Scalar(r) => simd::replicate(fmt, self.reg(r)),
                     DotOp2::Replicated(v) => v,
                 };
-                let d = crate::fastpath::dot_eval(fmt, sign, self.reg(rs1), b);
+                let d = simd::dotp(fmt, sign, self.reg(rs1), b);
                 let v = if acc { self.reg(rd).wrapping_add(d) } else { d };
                 self.set_reg(rd, v);
                 Retired::Dot(fmt)
@@ -1741,6 +1741,14 @@ struct VecBus<'a, B: Bus>(&'a mut B);
 impl<B: Bus> VecMem for VecBus<'_, B> {
     fn read(&mut self, addr: u32, size: u32) -> Result<u32, VecMemFault> {
         self.0.read(addr, size).map_err(|e| VecMemFault {
+            addr: e.addr,
+            size: e.size,
+            write: e.write,
+        })
+    }
+
+    fn read_into(&mut self, addr: u32, buf: &mut [u8]) -> Result<(), VecMemFault> {
+        self.0.read_block(addr, buf).map_err(|e| VecMemFault {
             addr: e.addr,
             size: e.size,
             write: e.write,

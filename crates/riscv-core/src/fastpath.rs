@@ -166,7 +166,7 @@ pub(crate) enum USpec {
         offset: u32,
     },
     /// `pv.dot*` / `pv.sdot*` with the lane math monomorphized per
-    /// `(fmt, sign)` (dispatched through [`dot_eval`]).
+    /// `(fmt, sign)` (dispatched through [`pulp_isa::simd::dotp`]).
     Dot {
         acc: bool,
         fmt: SimdFmt,
@@ -189,59 +189,6 @@ impl USpec {
             self,
             USpec::Generic | USpec::Branch { .. } | USpec::Jal { .. }
         )
-    }
-}
-
-/// Dot product with lane width and operand signedness fixed at compile
-/// time: the const generics let the compiler fully unroll the lane loop
-/// and drop every per-lane branch the runtime-`fmt` reference pays.
-/// Semantics are lane-for-lane those of [`pulp_isa::simd::dotp`].
-fn dot_mono<const BITS: u32, const SA: bool, const SB: bool>(a: u32, b: u32) -> u32 {
-    let lanes = (32 / BITS) as usize;
-    let mask = (1u32 << BITS) - 1;
-    let ext = 32 - BITS;
-    let mut acc = 0u32;
-    let mut i = 0;
-    while i < lanes {
-        let ua = (a >> (i as u32 * BITS)) & mask;
-        let ub = (b >> (i as u32 * BITS)) & mask;
-        let x: i64 = if SA {
-            (((ua << ext) as i32) >> ext) as i64
-        } else {
-            ua as i64
-        };
-        let y: i64 = if SB {
-            (((ub << ext) as i32) >> ext) as i64
-        } else {
-            ub as i64
-        };
-        acc = acc.wrapping_add((x * y) as u32);
-        i += 1;
-    }
-    acc
-}
-
-/// Dispatches to the monomorphized dot kernel for a `(fmt, sign)`
-/// pair. The twelve-way match compiles to a jump table whose arms
-/// inline the fully unrolled kernels, so a kernel loop (always the
-/// same pair) pays one predicted indirect branch per retire instead of
-/// the reference implementation's per-lane loop and sign matches.
-#[inline]
-pub(crate) fn dot_eval(fmt: SimdFmt, sign: DotSign, a: u32, b: u32) -> u32 {
-    macro_rules! pick {
-        ($bits:expr) => {
-            match sign {
-                DotSign::UnsignedUnsigned => dot_mono::<$bits, false, false>(a, b),
-                DotSign::UnsignedSigned => dot_mono::<$bits, false, true>(a, b),
-                DotSign::SignedSigned => dot_mono::<$bits, true, true>(a, b),
-            }
-        };
-    }
-    match fmt {
-        SimdFmt::Half => pick!(16),
-        SimdFmt::Byte => pick!(8),
-        SimdFmt::Nibble => pick!(4),
-        SimdFmt::Crumb => pick!(2),
     }
 }
 

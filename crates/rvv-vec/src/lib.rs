@@ -29,8 +29,11 @@
 //! The crate is self-contained: memory is reached through the local
 //! [`VecMem`] trait (the core adapts its bus), and every operation
 //! returns a [`VecCost`] so the caller owns cycle/ledger accounting.
+//! The host works on bytes and words: an element is one shift and mask
+//! (or one `u16`), `vdot` folds [`pulp_isa::simd::dotp`] over packed
+//! words, and `vle.v` is one [`VecMem::read_into`] call.
 
-use pulp_isa::simd::{DotSign, SimdFmt};
+use pulp_isa::simd::{self, DotSign, SimdFmt};
 use pulp_isa::vec::VecSew;
 use std::fmt;
 
@@ -70,7 +73,8 @@ impl std::error::Error for VecMemFault {}
 ///
 /// Mirrors the core's `Bus` (byte addresses, little-endian, value in
 /// the low bits) but lives here so `rvv-vec` stays dependency-free of
-/// the core: the core adapts its bus with a newtype.
+/// the core: the core adapts its bus with a newtype. Beats are 1 or 2
+/// bytes; unit-stride loads move their span with [`VecMem::read_into`].
 pub trait VecMem {
     /// Reads `size` ∈ {1, 2} bytes.
     ///
@@ -78,6 +82,20 @@ pub trait VecMem {
     ///
     /// [`VecMemFault`] if any byte of the access is unmapped.
     fn read(&mut self, addr: u32, size: u32) -> Result<u32, VecMemFault>;
+
+    /// Fills `buf` from the bytes at `addr` (addresses wrap). Defaults
+    /// to one 1-byte [`VecMem::read`] beat per byte; an override must
+    /// give the same bytes and the same fault.
+    ///
+    /// # Errors
+    ///
+    /// The first unmapped byte's fault; `buf` keeps the bytes before it.
+    fn read_into(&mut self, addr: u32, buf: &mut [u8]) -> Result<(), VecMemFault> {
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = self.read(addr.wrapping_add(i as u32), 1)? as u8;
+        }
+        Ok(())
+    }
 
     /// Writes the low `size` ∈ {1, 2} bytes of `value`.
     ///
@@ -133,6 +151,17 @@ pub struct VecCost {
     /// Threshold fetches performed (`vqnt` only; the core counts them
     /// as data loads like it does for `pv.qnt`).
     pub fetches: u32,
+}
+
+impl VecCost {
+    /// `busy` cycles plus `stalls` misalignment stall cycles, no fetches.
+    fn new(busy: u64, stalls: u64) -> VecCost {
+        VecCost {
+            cycles: busy + stalls,
+            stall_cycles: stalls,
+            fetches: 0,
+        }
+    }
 }
 
 /// True when an access of `size` bytes at `addr` crosses a 32-bit word
@@ -255,26 +284,16 @@ impl VecUnit {
         (self.vl * self.sew.bits()).div_ceil(8)
     }
 
-    #[inline]
-    fn elem_bit_range(&self, i: u32) -> (usize, u32) {
-        ((i * self.sew.bits()) as usize, self.sew.bits())
-    }
-
     /// Element `i` of register `v`, zero-extended.
     ///
     /// # Panics
     ///
     /// Panics if the element's bits fall outside the register.
+    #[inline]
     pub fn elem_u(&self, v: usize, i: u32) -> u32 {
-        let (off, width) = self.elem_bit_range(i);
-        assert!(off + width as usize <= self.vlen_bits as usize);
-        let bytes = &self.vregs[v];
-        let mut out = 0u32;
-        for b in 0..width as usize {
-            let bit = off + b;
-            out |= u32::from((bytes[bit / 8] >> (bit % 8)) & 1) << b;
-        }
-        out
+        let bits = self.sew.bits();
+        assert!((i + 1) * bits <= self.vlen_bits);
+        get_elem(&self.vregs[v], bits, i)
     }
 
     /// Element `i` of register `v`, sign-extended.
@@ -288,19 +307,11 @@ impl VecUnit {
         ((u << shift) as i32) >> shift
     }
 
+    #[inline]
     fn set_elem(&mut self, v: usize, i: u32, value: u32) {
-        let (off, width) = self.elem_bit_range(i);
-        debug_assert!(off + width as usize <= self.vlen_bits as usize);
-        let bytes = &mut self.vregs[v];
-        for b in 0..width as usize {
-            let bit = off + b;
-            let mask = 1u8 << (bit % 8);
-            if (value >> b) & 1 == 1 {
-                bytes[bit / 8] |= mask;
-            } else {
-                bytes[bit / 8] &= !mask;
-            }
-        }
+        let bits = self.sew.bits();
+        debug_assert!((i + 1) * bits <= self.vlen_bits);
+        put_elem(&mut self.vregs[v], bits, i, value);
     }
 
     /// `vle.v vd, (base)`: unit-stride load of the active bytes, tail
@@ -319,10 +330,7 @@ impl VecUnit {
     ) -> Result<VecCost, VecError> {
         let nbytes = self.active_bytes();
         self.vregs[vd] = [0; MAX_VLEN_BYTES];
-        for i in 0..nbytes {
-            let byte = mem.read(base.wrapping_add(i), 1)?;
-            self.vregs[vd][i as usize] = byte as u8;
-        }
+        mem.read_into(base, &mut self.vregs[vd][..nbytes as usize])?;
         Ok(self.unit_stride_cost(base, nbytes))
     }
 
@@ -338,9 +346,8 @@ impl VecUnit {
         base: u32,
     ) -> Result<VecCost, VecError> {
         let nbytes = self.active_bytes();
-        for i in 0..nbytes {
-            let byte = self.vregs[vs][i as usize];
-            mem.write(base.wrapping_add(i), 1, u32::from(byte))?;
+        for (i, byte) in self.vregs[vs][..nbytes as usize].iter().enumerate() {
+            mem.write(base.wrapping_add(i as u32), 1, u32::from(*byte))?;
         }
         Ok(self.unit_stride_cost(base, nbytes))
     }
@@ -350,11 +357,7 @@ impl VecUnit {
     /// word-aligned (a zero-length transfer pays setup only).
     fn unit_stride_cost(&self, base: u32, nbytes: u32) -> VecCost {
         let stall = u64::from(nbytes > 0 && !base.is_multiple_of(4));
-        VecCost {
-            cycles: 1 + u64::from(nbytes.div_ceil(8)) + stall,
-            stall_cycles: stall,
-            fetches: 0,
-        }
+        VecCost::new(1 + u64::from(nbytes.div_ceil(8)), stall)
     }
 
     /// `vlse.v vd, (base), stride`: strided load, one element beat per
@@ -384,11 +387,7 @@ impl VecUnit {
             let v = mem.read(addr, eb)?;
             self.set_elem(vd, i, v);
         }
-        Ok(VecCost {
-            cycles: 1 + u64::from(vl) + stalls,
-            stall_cycles: stalls,
-            fetches: 0,
-        })
+        Ok(VecCost::new(1 + u64::from(vl), stalls))
     }
 
     /// `vsse.v vs, (base), stride`: strided store, one element beat
@@ -416,11 +415,7 @@ impl VecUnit {
             let v = self.elem_u(vs, i);
             mem.write(addr, eb, v)?;
         }
-        Ok(VecCost {
-            cycles: 1 + u64::from(self.vl) + stalls,
-            stall_cycles: stalls,
-            fetches: 0,
-        })
+        Ok(VecCost::new(1 + u64::from(self.vl), stalls))
     }
 
     /// `vdot{up,usp,sp}.vv`: Σ over the active elements of
@@ -429,27 +424,28 @@ impl VecUnit {
     /// bit-identical on the same data. The caller accumulates the sum
     /// into the scalar destination.
     ///
+    /// The sum folds [`pulp_isa::simd::dotp`], the `pv.sdot*` datapath,
+    /// over the registers' 32-bit words; the last word is masked to the
+    /// live elements, as bits past `vl` may be stale.
+    ///
     /// Cost: 1 + ⌈vl·SEW / 128⌉ over the 128-bit MAC datapath.
     pub fn dot(&self, sign: DotSign, vs1: usize, vs2: usize) -> (u32, VecCost) {
-        let mut acc = 0u32;
-        for i in 0..self.vl {
-            let a = match sign {
-                DotSign::UnsignedUnsigned | DotSign::UnsignedSigned => self.elem_u(vs1, i),
-                DotSign::SignedSigned => self.elem_s(vs1, i) as u32,
-            };
-            let b = match sign {
-                DotSign::UnsignedUnsigned => self.elem_u(vs2, i),
-                DotSign::UnsignedSigned | DotSign::SignedSigned => self.elem_s(vs2, i) as u32,
-            };
-            acc = acc.wrapping_add(a.wrapping_mul(b));
-        }
-        let bits = u64::from(self.vl) * u64::from(self.sew.bits());
-        let cost = VecCost {
-            cycles: 1 + bits.div_ceil(128),
-            stall_cycles: 0,
-            fetches: 0,
+        let fmt = match self.sew {
+            VecSew::E2 => SimdFmt::Crumb,
+            VecSew::E4 => SimdFmt::Nibble,
+            VecSew::E8 => SimdFmt::Byte,
+            VecSew::E16 => SimdFmt::Half,
         };
-        (acc, cost)
+        let live = self.vl * self.sew.bits();
+        let word = |v: usize, k: u32| {
+            let w = &self.vregs[v][4 * k as usize..][..4];
+            let live_bits = (live - 32 * k).min(32);
+            u32::from_le_bytes(w.try_into().expect("4 bytes")) & (u32::MAX >> (32 - live_bits))
+        };
+        let acc = (0..live.div_ceil(32)).fold(0u32, |acc, k| {
+            acc.wrapping_add(simd::dotp(fmt, sign, word(vs1, k), word(vs2, k)))
+        });
+        (acc, VecCost::new(1 + u64::from(live).div_ceil(128), 0))
     }
 
     /// `vqnt.{n,c}.v vd, (trees), vs2`: staircase-quantizes the `vl`
@@ -486,37 +482,28 @@ impl VecUnit {
         assert!(fmt.is_sub_byte(), "vqnt has no {fmt:?} form");
         let vl = self.vl;
         let mut stalls = 0u64;
-        let mut results = [0u8; MAX_VLEN_BITS as usize / 16];
-        for (i, slot) in results.iter_mut().enumerate().take(vl as usize) {
-            let x = self.elem_s(vs2, i as u32) as i16;
-            let base = trees.wrapping_add(tree_stride(fmt).wrapping_mul(i as u32));
+        // Results pack at the *output* width from bit 0, like a
+        // narrowing op, and land only once every fetch succeeded.
+        let mut out = [0; MAX_VLEN_BYTES];
+        for i in 0..vl {
+            let x = self.elem_s(vs2, i) as i16;
+            let base = trees.wrapping_add(tree_stride(fmt).wrapping_mul(i));
             let mut k: u32 = 1;
-            let mut q: u8 = 0;
+            let mut q = 0;
             for _ in 0..q_bits {
                 let addr = base + (k - 1) * 2;
                 stalls += u64::from(crosses_word(addr, 2));
                 let t = mem.read(addr, 2)? as u16 as i16;
                 let bit = u32::from(x > t);
                 k = 2 * k + bit;
-                q = (q << 1) | bit as u8;
+                q = (q << 1) | bit;
             }
-            *slot = q;
+            put_elem(&mut out, q_bits, i, q);
         }
-        // Results land packed at the *output* width from bit 0 — the
-        // register is reconfigured below SEW, like a narrowing op.
-        self.vregs[vd] = [0; MAX_VLEN_BYTES];
-        for (i, q) in results.iter().enumerate().take(vl as usize) {
-            let off = i * q_bits as usize;
-            for b in 0..q_bits as usize {
-                if (q >> b) & 1 == 1 {
-                    self.vregs[vd][(off + b) / 8] |= 1 << ((off + b) % 8);
-                }
-            }
-        }
+        self.vregs[vd] = out;
         Ok(VecCost {
-            cycles: 1 + u64::from(vl) * u64::from(q_bits) + stalls,
-            stall_cycles: stalls,
             fetches: vl * q_bits,
+            ..VecCost::new(1 + u64::from(vl) * u64::from(q_bits), stalls)
         })
     }
 
@@ -524,38 +511,22 @@ impl VecUnit {
     /// `vl − 1` elements, `vd[vl−1] = x` truncated to SEW, tail
     /// zeroed. Single cycle.
     pub fn slide1down(&mut self, vd: usize, vs2: usize, x: u32) -> VecCost {
-        let vl = self.vl;
-        let mut tmp = [0u32; MAX_VLEN_BITS as usize / 2];
-        for (i, slot) in tmp.iter_mut().enumerate().take(vl as usize) {
-            *slot = if (i as u32) + 1 < vl {
-                self.elem_u(vs2, i as u32 + 1)
-            } else {
-                x
-            };
-        }
+        let (src, bits, vl) = (self.vregs[vs2], self.sew.bits(), self.vl);
         self.vregs[vd] = [0; MAX_VLEN_BYTES];
-        for (i, v) in tmp.iter().enumerate().take(vl as usize) {
-            self.set_elem(vd, i as u32, *v);
+        for i in 1..vl {
+            put_elem(&mut self.vregs[vd], bits, i - 1, get_elem(&src, bits, i));
         }
-        VecCost {
-            cycles: 1,
-            stall_cycles: 0,
-            fetches: 0,
+        if vl > 0 {
+            put_elem(&mut self.vregs[vd], bits, vl - 1, x);
         }
+        VecCost::new(1, 0)
     }
 
     /// `vmv.x.s rd, vs2`: element 0 sign-extended to 32 bits at the
     /// current SEW. Single cycle; `vl` does not gate it (RVV reads
     /// element 0 even at `vl = 0`).
     pub fn mv_x_s(&self, vs2: usize) -> (u32, VecCost) {
-        (
-            self.elem_s(vs2, 0) as u32,
-            VecCost {
-                cycles: 1,
-                stall_cycles: 0,
-                fetches: 0,
-            },
-        )
+        (self.elem_s(vs2, 0) as u32, VecCost::new(1, 0))
     }
 
     /// Folds the unit's architectural state into an FNV-1a style
@@ -573,6 +544,33 @@ impl VecUnit {
                 fold(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
             }
         }
+    }
+}
+
+/// Element `i` of `bits` ∈ {2, 4, 8, 16} packed from bit 0 of `reg`,
+/// zero-extended. Elements are naturally aligned, so a sub-byte or e8
+/// element sits inside one byte and an e16 element is a byte pair.
+#[inline]
+fn get_elem(reg: &[u8; MAX_VLEN_BYTES], bits: u32, i: u32) -> u32 {
+    let off = (i * bits) as usize;
+    if bits == 16 {
+        u32::from(u16::from_le_bytes([reg[off / 8], reg[off / 8 + 1]]))
+    } else {
+        u32::from(reg[off / 8] >> (off % 8)) & ((1 << bits) - 1)
+    }
+}
+
+/// Writes the low `bits` of `value` as element `i` (see [`get_elem`]),
+/// leaving every other bit of `reg` alone.
+#[inline]
+fn put_elem(reg: &mut [u8; MAX_VLEN_BYTES], bits: u32, i: u32, value: u32) {
+    let off = (i * bits) as usize;
+    if bits == 16 {
+        reg[off / 8..off / 8 + 2].copy_from_slice(&(value as u16).to_le_bytes());
+    } else {
+        let mask = (((1u32 << bits) - 1) << (off % 8)) as u8;
+        let byte = &mut reg[off / 8];
+        *byte = (*byte & !mask) | ((value << (off % 8)) as u8 & mask);
     }
 }
 
@@ -637,6 +635,7 @@ impl VecMem for VecTestMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pulp_isa::simd::ALL_DOT_SIGNS;
     use pulp_isa::vec::ALL_SEWS;
 
     #[test]
@@ -960,5 +959,166 @@ mod tests {
         u = snap.clone();
         assert_eq!(u, snap);
         assert_eq!(u.elem_u(7, 3), 0xb);
+    }
+
+    /// The unit's element access and `vdot` as it first computed them,
+    /// one bit and one element at a time: the oracle for the byte- and
+    /// word-wide forms.
+    mod reference {
+        use super::*;
+
+        pub fn elem_u(u: &VecUnit, v: usize, i: u32) -> u32 {
+            let width = u.sew.bits() as usize;
+            let off = i as usize * width;
+            assert!(off + width <= u.vlen_bits as usize);
+            let bytes = &u.vregs[v];
+            let mut out = 0u32;
+            for b in 0..width {
+                let bit = off + b;
+                out |= u32::from((bytes[bit / 8] >> (bit % 8)) & 1) << b;
+            }
+            out
+        }
+
+        pub fn elem_s(u: &VecUnit, v: usize, i: u32) -> i32 {
+            let shift = 32 - u.sew.bits();
+            ((elem_u(u, v, i) << shift) as i32) >> shift
+        }
+
+        pub fn set_elem(u: &mut VecUnit, v: usize, i: u32, value: u32) {
+            let width = u.sew.bits() as usize;
+            let off = i as usize * width;
+            let bytes = &mut u.vregs[v];
+            for b in 0..width {
+                let bit = off + b;
+                let mask = 1u8 << (bit % 8);
+                if (value >> b) & 1 == 1 {
+                    bytes[bit / 8] |= mask;
+                } else {
+                    bytes[bit / 8] &= !mask;
+                }
+            }
+        }
+
+        pub fn dot(u: &VecUnit, sign: DotSign, vs1: usize, vs2: usize) -> u32 {
+            let mut acc = 0u32;
+            for i in 0..u.vl {
+                let a = match sign {
+                    DotSign::UnsignedUnsigned | DotSign::UnsignedSigned => elem_u(u, vs1, i),
+                    DotSign::SignedSigned => elem_s(u, vs1, i) as u32,
+                };
+                let b = match sign {
+                    DotSign::UnsignedUnsigned => elem_u(u, vs2, i),
+                    DotSign::UnsignedSigned | DotSign::SignedSigned => elem_s(u, vs2, i) as u32,
+                };
+                acc = acc.wrapping_add(a.wrapping_mul(b));
+            }
+            acc
+        }
+    }
+
+    /// Random full registers at every VLEN, every SEW, every `vl` in
+    /// `0..=vlmax` and every signedness: element reads, element writes
+    /// and `vdot` agree exactly with the bit-loop reference.
+    #[test]
+    fn word_forms_match_the_bit_loop_reference() {
+        let mut rng = xrand::Rng::new(0x7ec_d07);
+        for vlen in [32, 64, 128, 256] {
+            for sew in ALL_SEWS {
+                let mut u = VecUnit::new(vlen);
+                let vlmax = u.vlmax(sew);
+                for _ in 0..4 {
+                    for reg in &mut u.vregs[..3] {
+                        for b in &mut reg[..vlen as usize / 8] {
+                            *b = rng.next_u32() as u8;
+                        }
+                    }
+                    for vl in 0..=vlmax {
+                        u.vsetvli(Some(vl), sew);
+                        for v in 0..3 {
+                            for i in 0..vlmax {
+                                assert_eq!(u.elem_u(v, i), reference::elem_u(&u, v, i));
+                                assert_eq!(u.elem_s(v, i), reference::elem_s(&u, v, i));
+                            }
+                        }
+                        for sign in ALL_DOT_SIGNS {
+                            for (vs1, vs2) in [(0, 1), (1, 2), (2, 2)] {
+                                assert_eq!(
+                                    u.dot(sign, vs1, vs2).0,
+                                    reference::dot(&u, sign, vs1, vs2),
+                                    "VLEN {vlen} {sew} vl {vl} {sign:?} v{vs1}.v{vs2}"
+                                );
+                            }
+                        }
+                        let i = rng.below(u64::from(vlmax)) as u32;
+                        let value = rng.next_u32();
+                        let (mut fast, mut slow) = (u.clone(), u.clone());
+                        fast.set_elem(2, i, value);
+                        reference::set_elem(&mut slow, 2, i, value);
+                        assert_eq!(fast, slow, "VLEN {vlen} {sew} set element {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// After `vsetvli` shrinks `vl` to end mid-word, the bits past `vl`
+    /// still hold the old data. No operation may read them: `vdot`,
+    /// `vslide1down.vx` and `vmv.x.s` give what a register with a zero
+    /// tail gives, `vse.v` writes only the active bytes, and a later
+    /// `vle.v` zeroes the tail.
+    #[test]
+    fn bits_past_vl_are_ignored() {
+        for vlen in [128, 256] {
+            for sew in ALL_SEWS {
+                let bits = sew.bits();
+                let mut mem = VecTestMem::new(0, 256);
+                for (i, b) in mem.as_bytes_mut().iter_mut().enumerate() {
+                    *b = (i as u8).wrapping_mul(0x9d) | 0x81;
+                }
+                let mut stale = VecUnit::new(vlen);
+                let vlmax = stale.vsetvli(None, sew);
+                stale.load_unit(&mut mem, 1, 0).unwrap();
+                stale.load_unit(&mut mem, 2, 64).unwrap();
+                for vl in (1..vlmax).filter(|vl| vl * bits % 32 != 0) {
+                    stale.vsetvli(Some(vl), sew);
+                    let mut clean = stale.clone();
+                    for i in vl..vlmax {
+                        clean.set_elem(1, i, 0);
+                        clean.set_elem(2, i, 0);
+                    }
+                    assert_ne!(stale, clean, "{sew} vl {vl}: the tail must be stale");
+                    let at = format!("VLEN {vlen} {sew} vl {vl}");
+
+                    for sign in ALL_DOT_SIGNS {
+                        let want = reference::dot(&clean, sign, 1, 2);
+                        assert_eq!(stale.dot(sign, 1, 2).0, want, "{at} {sign:?}");
+                        assert_eq!(clean.dot(sign, 1, 2).0, want, "{at} {sign:?}");
+                    }
+                    assert_eq!(stale.mv_x_s(1), clean.mv_x_s(1), "{at}");
+                    let (mut a, mut b) = (stale.clone(), clean.clone());
+                    a.slide1down(3, 1, 0x5a5a_5a5a);
+                    b.slide1down(3, 1, 0x5a5a_5a5a);
+                    assert_eq!(a.vregs[3], b.vregs[3], "{at}");
+
+                    // A store moves the active bytes and nothing past
+                    // them; a `vl` ending mid-byte stores that byte whole.
+                    let active = stale.active_bytes() as usize;
+                    let mut out = VecTestMem::new(0, 64);
+                    out.as_bytes_mut().fill(0xee);
+                    stale.store_unit(&mut out, 1, 0).unwrap();
+                    assert_eq!(out.as_bytes()[..active], stale.vregs[1][..active], "{at}");
+                    assert!(out.as_bytes()[active..].iter().all(|b| *b == 0xee), "{at}");
+                    if vl * bits % 8 == 0 {
+                        assert_eq!(out.as_bytes()[..active], clean.vregs[1][..active], "{at}");
+                    }
+
+                    let mut reload = stale.clone();
+                    reload.load_unit(&mut mem, 1, 128).unwrap();
+                    assert_eq!(reload.vregs[1][..active], mem.as_bytes()[128..128 + active]);
+                    assert!(reload.vregs[1][active..].iter().all(|b| *b == 0), "{at}");
+                }
+            }
+        }
     }
 }
