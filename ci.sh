@@ -24,6 +24,22 @@ cargo build --release --locked
 echo "==> tier-1: cargo test -q"
 cargo test -q --locked
 
+# The text parser reports a malformed line as a line-numbered error
+# (exit 1). Exit 101 would mean it panicked instead.
+echo "==> xpulpnn dis on a bare lp.count (line-numbered error, exit 1)"
+bare_lp=$(mktemp)
+printf 'lp.count\n' > "$bare_lp"
+set +e
+bare_out=$(cargo run --release -q --locked -p xpulpnn-cli -- dis "$bare_lp" 2>&1)
+bare_rc=$?
+set -e
+rm -f "$bare_lp"
+if [ "$bare_rc" -ne 1 ] || ! echo "$bare_out" | grep -E "line [0-9]+:" > /dev/null; then
+    echo "xpulpnn dis on a bare lp.count exited $bare_rc (want 1 and a line number):"
+    echo "$bare_out"
+    exit 1
+fi
+
 # Static verification gate: every shipped kernel program (8 conv
 # variants + the 5 vector-backend conv variants +
 # depthwise/pool/relu/linear testbench kernels) plus the

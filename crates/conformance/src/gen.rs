@@ -221,18 +221,6 @@ fn gen_data(r: &mut Rng) -> Vec<u8> {
 // Instruction sampling
 // ---------------------------------------------------------------------
 
-pub(crate) const ALU_OPS: [AluOp; 10] = [
-    AluOp::Add,
-    AluOp::Sub,
-    AluOp::Sll,
-    AluOp::Slt,
-    AluOp::Sltu,
-    AluOp::Xor,
-    AluOp::Srl,
-    AluOp::Sra,
-    AluOp::Or,
-    AluOp::And,
-];
 pub(crate) const ALUI_ARITH: [AluOp; 6] = [
     AluOp::Add,
     AluOp::Slt,
@@ -242,72 +230,7 @@ pub(crate) const ALUI_ARITH: [AluOp; 6] = [
     AluOp::And,
 ];
 pub(crate) const ALUI_SHIFT: [AluOp; 3] = [AluOp::Sll, AluOp::Srl, AluOp::Sra];
-pub(crate) const MULDIV_OPS: [MulDivOp; 8] = [
-    MulDivOp::Mul,
-    MulDivOp::Mulh,
-    MulDivOp::Mulhsu,
-    MulDivOp::Mulhu,
-    MulDivOp::Div,
-    MulDivOp::Divu,
-    MulDivOp::Rem,
-    MulDivOp::Remu,
-];
-pub(crate) const PULP_ALU_OPS: [PulpAluOp; 9] = [
-    PulpAluOp::Min,
-    PulpAluOp::Minu,
-    PulpAluOp::Max,
-    PulpAluOp::Maxu,
-    PulpAluOp::Abs,
-    PulpAluOp::Exths,
-    PulpAluOp::Exthz,
-    PulpAluOp::Extbs,
-    PulpAluOp::Extbz,
-];
-pub(crate) const BIT_OPS: [BitOp; 4] = [BitOp::Ff1, BitOp::Fl1, BitOp::Cnt, BitOp::Clb];
-pub(crate) const SIMD_OPS: [SimdAluOp; 14] = [
-    SimdAluOp::Add,
-    SimdAluOp::Sub,
-    SimdAluOp::Avg,
-    SimdAluOp::Avgu,
-    SimdAluOp::Min,
-    SimdAluOp::Minu,
-    SimdAluOp::Max,
-    SimdAluOp::Maxu,
-    SimdAluOp::Srl,
-    SimdAluOp::Sra,
-    SimdAluOp::Sll,
-    SimdAluOp::Or,
-    SimdAluOp::And,
-    SimdAluOp::Xor,
-];
-pub(crate) const LOAD_KINDS: [LoadKind; 5] = [
-    LoadKind::Byte,
-    LoadKind::Half,
-    LoadKind::Word,
-    LoadKind::ByteU,
-    LoadKind::HalfU,
-];
-pub(crate) const STORE_KINDS: [StoreKind; 3] = [StoreKind::Byte, StoreKind::Half, StoreKind::Word];
-pub(crate) const CONDS: [BranchCond; 6] = [
-    BranchCond::Eq,
-    BranchCond::Ne,
-    BranchCond::Lt,
-    BranchCond::Ge,
-    BranchCond::Ltu,
-    BranchCond::Geu,
-];
-pub(crate) const ALL_FMTS: [SimdFmt; 4] = [
-    SimdFmt::Half,
-    SimdFmt::Byte,
-    SimdFmt::Nibble,
-    SimdFmt::Crumb,
-];
 pub(crate) const WORD_FMTS: [SimdFmt; 2] = [SimdFmt::Half, SimdFmt::Byte];
-pub(crate) const DOT_SIGNS: [DotSign; 3] = [
-    DotSign::UnsignedUnsigned,
-    DotSign::UnsignedSigned,
-    DotSign::SignedSigned,
-];
 
 pub(crate) fn any_reg(r: &mut Rng) -> Reg {
     ALL_REGS[r.below(32) as usize]
@@ -354,7 +277,7 @@ pub(crate) fn simd_operand(r: &mut Rng, fmt: SimdFmt) -> SimdOperand {
 fn computational(r: &mut Rng) -> Instr {
     match r.below(13) {
         0 => Instr::Alu {
-            op: *r.choose(&ALU_OPS),
+            op: *r.choose(&AluOp::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
             rs2: any_reg(r),
@@ -372,13 +295,13 @@ fn computational(r: &mut Rng) -> Instr {
             imm: r.range_i32(0, 31),
         },
         3 => Instr::MulDiv {
-            op: *r.choose(&MULDIV_OPS),
+            op: *r.choose(&MulDivOp::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
             rs2: any_reg(r),
         },
         4 => Instr::PulpAlu {
-            op: *r.choose(&PULP_ALU_OPS),
+            op: *r.choose(&PulpAluOp::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
             rs2: any_reg(r),
@@ -399,7 +322,7 @@ fn computational(r: &mut Rng) -> Instr {
             }
         }
         6 => Instr::PBit {
-            op: *r.choose(&BIT_OPS),
+            op: *r.choose(&BitOp::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
         },
@@ -422,7 +345,7 @@ fn computational(r: &mut Rng) -> Instr {
             }
         }
         9 => {
-            let fmt = *r.choose(&ALL_FMTS);
+            let fmt = *r.choose(&SimdFmt::ALL);
             if r.below(8) == 0 {
                 Instr::PvAbs {
                     fmt,
@@ -431,7 +354,7 @@ fn computational(r: &mut Rng) -> Instr {
                 }
             } else {
                 Instr::PvAlu {
-                    op: *r.choose(&SIMD_OPS),
+                    op: *r.choose(&SimdAluOp::ALL),
                     fmt,
                     rd: any_reg(r),
                     rs1: any_reg(r),
@@ -440,8 +363,8 @@ fn computational(r: &mut Rng) -> Instr {
             }
         }
         10 => {
-            let fmt = *r.choose(&ALL_FMTS);
-            let sign = *r.choose(&DOT_SIGNS);
+            let fmt = *r.choose(&SimdFmt::ALL);
+            let sign = *r.choose(&DotSign::ALL);
             let (rd, rs1) = (any_reg(r), any_reg(r));
             let op2 = simd_operand(r, fmt);
             if r.flip() {
@@ -464,7 +387,7 @@ fn computational(r: &mut Rng) -> Instr {
         }
         11 => match r.below(3) {
             0 => {
-                let fmt = *r.choose(&ALL_FMTS);
+                let fmt = *r.choose(&SimdFmt::ALL);
                 Instr::PvExtract {
                     fmt,
                     rd: any_reg(r),
@@ -474,7 +397,7 @@ fn computational(r: &mut Rng) -> Instr {
                 }
             }
             1 => {
-                let fmt = *r.choose(&ALL_FMTS);
+                let fmt = *r.choose(&SimdFmt::ALL);
                 Instr::PvInsert {
                     fmt,
                     rd: any_reg(r),
@@ -520,13 +443,13 @@ fn gen_mem(r: &mut Rng) -> Item {
     let offset = r.range_i32(-32, 31);
     let access = match r.below(8) {
         0 | 1 => Instr::Load {
-            kind: *r.choose(&LOAD_KINDS),
+            kind: *r.choose(&LoadKind::ALL),
             rd: any_reg(r),
             rs1: base,
             offset,
         },
         2 => Instr::Store {
-            kind: *r.choose(&STORE_KINDS),
+            kind: *r.choose(&StoreKind::ALL),
             rs1: base,
             rs2: any_reg(r),
             offset,
@@ -537,14 +460,14 @@ fn gen_mem(r: &mut Rng) -> Item {
                 rd = any_reg(r);
             }
             Instr::LoadPostInc {
-                kind: *r.choose(&LOAD_KINDS),
+                kind: *r.choose(&LoadKind::ALL),
                 rd,
                 rs1: base,
                 offset,
             }
         }
         4 => Instr::StorePostInc {
-            kind: *r.choose(&STORE_KINDS),
+            kind: *r.choose(&StoreKind::ALL),
             rs1: base,
             rs2: any_reg(r),
             offset,
@@ -562,7 +485,7 @@ fn gen_mem(r: &mut Rng) -> Item {
             });
             if r.flip() {
                 Instr::LoadRegOff {
-                    kind: *r.choose(&LOAD_KINDS),
+                    kind: *r.choose(&LoadKind::ALL),
                     rd: any_reg(r),
                     rs1: base,
                     rs2: idx,
@@ -573,7 +496,7 @@ fn gen_mem(r: &mut Rng) -> Item {
                     rd = any_reg(r);
                 }
                 Instr::LoadPostIncReg {
-                    kind: *r.choose(&LOAD_KINDS),
+                    kind: *r.choose(&LoadKind::ALL),
                     rd,
                     rs1: base,
                     rs2: idx,
@@ -592,7 +515,7 @@ fn gen_mem(r: &mut Rng) -> Item {
                 imm: r.range_i32(0, 31),
             });
             Instr::StorePostIncReg {
-                kind: *r.choose(&STORE_KINDS),
+                kind: *r.choose(&StoreKind::ALL),
                 rs1: base,
                 rs2: any_reg(r),
                 rs3: idx,
@@ -657,7 +580,7 @@ fn vec_computational(r: &mut Rng) -> Instr {
             sew: *r.choose(&ALL_SEWS),
         },
         1 => Instr::VDot {
-            sign: *r.choose(&DOT_SIGNS),
+            sign: *r.choose(&DotSign::ALL),
             rd: any_reg(r),
             vs1: any_vreg(r),
             vs2: any_vreg(r),
@@ -857,7 +780,7 @@ fn gen_top_item(r: &mut Rng, vec: bool) -> Item {
         55..=69 => gen_mem(r),
         70..=77 => gen_qnt(r),
         78..=85 => Item::BranchOver {
-            cond: *r.choose(&CONDS),
+            cond: *r.choose(&BranchCond::ALL),
             rs1: any_reg(r),
             rs2: any_reg(r),
             skip: r.below(3) as usize,

@@ -7,14 +7,14 @@
 //! `encode→decode→encode` and `text→parse→disasm→parse` properties.
 //! All immediates are drawn from their exact encodable ranges.
 
-use pulp_isa::instr::{Instr, LoopIdx};
+use pulp_isa::instr::{
+    AluOp, BitOp, BranchCond, Instr, LoadKind, LoopIdx, MulDivOp, PulpAluOp, SimdAluOp, StoreKind,
+};
 use pulp_isa::reg::Reg;
+use pulp_isa::simd::{DotSign, SimdFmt};
 use xrand::Rng;
 
-use crate::gen::{
-    any_reg, simd_operand, ALL_FMTS, ALUI_ARITH, ALUI_SHIFT, ALU_OPS, BIT_OPS, CONDS, DOT_SIGNS,
-    LOAD_KINDS, MULDIV_OPS, PULP_ALU_OPS, SIMD_OPS, STORE_KINDS, WORD_FMTS,
-};
+use crate::gen::{any_reg, simd_operand, ALUI_ARITH, ALUI_SHIFT, WORD_FMTS};
 
 /// Number of distinct sampler arms (one per instruction shape).
 pub const ARMS: u64 = 27;
@@ -41,25 +41,25 @@ pub fn arbitrary_instr(r: &mut Rng) -> Instr {
             offset: r.range_i32(-2048, 2047),
         },
         4 => Instr::Branch {
-            cond: *r.choose(&CONDS),
+            cond: *r.choose(&BranchCond::ALL),
             rs1: any_reg(r),
             rs2: any_reg(r),
             offset: r.range_i32(-4096, 4095) & !1,
         },
         5 => Instr::Load {
-            kind: *r.choose(&LOAD_KINDS),
+            kind: *r.choose(&LoadKind::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
             offset: r.range_i32(-2048, 2047),
         },
         6 => Instr::Store {
-            kind: *r.choose(&STORE_KINDS),
+            kind: *r.choose(&StoreKind::ALL),
             rs1: any_reg(r),
             rs2: any_reg(r),
             offset: r.range_i32(-2048, 2047),
         },
         7 => Instr::Alu {
-            op: *r.choose(&ALU_OPS),
+            op: *r.choose(&AluOp::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
             rs2: any_reg(r),
@@ -103,13 +103,13 @@ pub fn arbitrary_instr(r: &mut Rng) -> Instr {
             csr: r.below(4096) as u16,
         },
         12 => Instr::MulDiv {
-            op: *r.choose(&MULDIV_OPS),
+            op: *r.choose(&MulDivOp::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
             rs2: any_reg(r),
         },
         13 => {
-            let op = *r.choose(&PULP_ALU_OPS);
+            let op = *r.choose(&PulpAluOp::ALL);
             Instr::PulpAlu {
                 op,
                 rd: any_reg(r),
@@ -141,7 +141,7 @@ pub fn arbitrary_instr(r: &mut Rng) -> Instr {
             }
         }
         16 => Instr::PBit {
-            op: *r.choose(&BIT_OPS),
+            op: *r.choose(&BitOp::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
         },
@@ -156,7 +156,7 @@ pub fn arbitrary_instr(r: &mut Rng) -> Instr {
             }
         }
         18 => {
-            let kind = *r.choose(&LOAD_KINDS);
+            let kind = *r.choose(&LoadKind::ALL);
             let (rd, rs1, rs2) = (any_reg(r), any_reg(r), any_reg(r));
             match r.below(3) {
                 0 => Instr::LoadPostInc {
@@ -170,7 +170,7 @@ pub fn arbitrary_instr(r: &mut Rng) -> Instr {
             }
         }
         19 => {
-            let kind = *r.choose(&STORE_KINDS);
+            let kind = *r.choose(&StoreKind::ALL);
             let (rs1, rs2, rs3) = (any_reg(r), any_reg(r), any_reg(r));
             if r.flip() {
                 Instr::StorePostInc {
@@ -215,7 +215,7 @@ pub fn arbitrary_instr(r: &mut Rng) -> Instr {
             }
         }
         21 => {
-            let fmt = *r.choose(&ALL_FMTS);
+            let fmt = *r.choose(&SimdFmt::ALL);
             if r.below(8) == 0 {
                 Instr::PvAbs {
                     fmt,
@@ -224,7 +224,7 @@ pub fn arbitrary_instr(r: &mut Rng) -> Instr {
                 }
             } else {
                 Instr::PvAlu {
-                    op: *r.choose(&SIMD_OPS),
+                    op: *r.choose(&SimdAluOp::ALL),
                     fmt,
                     rd: any_reg(r),
                     rs1: any_reg(r),
@@ -233,7 +233,7 @@ pub fn arbitrary_instr(r: &mut Rng) -> Instr {
             }
         }
         22 => {
-            let fmt = *r.choose(&ALL_FMTS);
+            let fmt = *r.choose(&SimdFmt::ALL);
             Instr::PvExtract {
                 fmt,
                 rd: any_reg(r),
@@ -243,7 +243,7 @@ pub fn arbitrary_instr(r: &mut Rng) -> Instr {
             }
         }
         23 => {
-            let fmt = *r.choose(&ALL_FMTS);
+            let fmt = *r.choose(&SimdFmt::ALL);
             Instr::PvInsert {
                 fmt,
                 rd: any_reg(r),
@@ -258,8 +258,8 @@ pub fn arbitrary_instr(r: &mut Rng) -> Instr {
             rs2: any_reg(r),
         },
         25 => {
-            let fmt = *r.choose(&ALL_FMTS);
-            let sign = *r.choose(&DOT_SIGNS);
+            let fmt = *r.choose(&SimdFmt::ALL);
+            let sign = *r.choose(&DotSign::ALL);
             let (rd, rs1) = (any_reg(r), any_reg(r));
             let op2 = simd_operand(r, fmt);
             if r.flip() {

@@ -4,7 +4,7 @@
 use crate::program::Program;
 use pulp_isa::encode::encode;
 use pulp_isa::instr::{
-    AluOp, BranchCond, Instr, LoadKind, LoopIdx, SimdOperand, StoreKind, ValidateError,
+    AluOp, BranchCond, Instr, LoadKind, LoopIdx, Operand, SimdOperand, StoreKind, ValidateError,
 };
 use pulp_isa::simd::{DotSign, SimdFmt};
 use pulp_isa::vec::{VReg, VecSew};
@@ -24,8 +24,8 @@ pub enum AsmError {
     BranchRange { label: String, offset: i64 },
     /// A jump target is outside the ±1 MiB J-type range.
     JumpRange { label: String, offset: i64 },
-    /// A hardware-loop bound does not fit its encoding (negative,
-    /// misaligned, or too far).
+    /// A hardware-loop bound does not fit its encoding (misaligned or
+    /// too far).
     LoopRange { label: String, offset: i64 },
     /// An instruction failed [`Instr::validate`].
     Validate(ValidateError),
@@ -70,32 +70,10 @@ impl From<ValidateError> for AsmError {
 enum Item {
     Label(String),
     Fixed(Instr),
-    Branch {
-        cond: BranchCond,
-        rs1: Reg,
-        rs2: Reg,
-        target: String,
-    },
-    Jal {
-        rd: Reg,
-        target: String,
-    },
-    LpStarti {
-        l: LoopIdx,
-        target: String,
-    },
-    LpEndi {
-        l: LoopIdx,
-        target: String,
-    },
-    LpSetup {
-        l: LoopIdx,
-        rs1: Reg,
-        target: String,
-    },
-    LpSetupi {
-        l: LoopIdx,
-        imm: u32,
+    /// An instruction whose pc-relative operand (branch, jump or
+    /// hardware-loop offset) is resolved to a label's address.
+    Reloc {
+        instr: Instr,
         target: String,
     },
     /// Load the 32-bit address of a label: `lui` + `addi`.
@@ -495,13 +473,15 @@ impl Asm {
 
     /// Conditional branch to a label.
     pub fn branch(&mut self, cond: BranchCond, rs1: Reg, rs2: Reg, target: &str) -> &mut Self {
-        self.items.push(Item::Branch {
-            cond,
-            rs1,
-            rs2,
-            target: target.to_string(),
-        });
-        self
+        self.reloc(
+            Instr::Branch {
+                cond,
+                rs1,
+                rs2,
+                offset: 0,
+            },
+            target,
+        )
     }
 
     /// `beq rs1, rs2, label`.
@@ -531,17 +511,32 @@ impl Asm {
 
     /// `j label`: unconditional jump.
     pub fn j(&mut self, target: &str) -> &mut Self {
-        self.items.push(Item::Jal {
-            rd: Reg::Zero,
-            target: target.to_string(),
-        });
-        self
+        self.reloc(
+            Instr::Jal {
+                rd: Reg::Zero,
+                offset: 0,
+            },
+            target,
+        )
     }
 
     /// `jal label`: call, linking into `ra`.
     pub fn jal(&mut self, target: &str) -> &mut Self {
-        self.items.push(Item::Jal {
-            rd: Reg::Ra,
+        self.reloc(
+            Instr::Jal {
+                rd: Reg::Ra,
+                offset: 0,
+            },
+            target,
+        )
+    }
+
+    /// Appends `instr` with its pc-relative operand (branch, jump or
+    /// hardware-loop offset) resolved at assembly to `target`'s offset
+    /// from the instruction.
+    pub(crate) fn reloc(&mut self, instr: Instr, target: &str) -> &mut Self {
+        self.items.push(Item::Reloc {
+            instr,
             target: target.to_string(),
         });
         self
@@ -565,21 +560,13 @@ impl Asm {
 
     /// `lp.starti l, label`.
     pub fn lp_starti(&mut self, l: LoopIdx, target: &str) -> &mut Self {
-        self.items.push(Item::LpStarti {
-            l,
-            target: target.to_string(),
-        });
-        self
+        self.reloc(Instr::LpStarti { l, offset: 0 }, target)
     }
 
     /// `lp.endi l, label` (the label marks the first instruction *after*
     /// the loop body, matching RI5CY's end-exclusive semantics).
     pub fn lp_endi(&mut self, l: LoopIdx, target: &str) -> &mut Self {
-        self.items.push(Item::LpEndi {
-            l,
-            target: target.to_string(),
-        });
-        self
+        self.reloc(Instr::LpEndi { l, offset: 0 }, target)
     }
 
     /// `lp.count l, rs1`.
@@ -595,23 +582,13 @@ impl Asm {
     /// `lp.setup l, rs1, label`: one-instruction loop setup with a
     /// register trip count.
     pub fn lp_setup(&mut self, l: LoopIdx, rs1: Reg, target: &str) -> &mut Self {
-        self.items.push(Item::LpSetup {
-            l,
-            rs1,
-            target: target.to_string(),
-        });
-        self
+        self.reloc(Instr::LpSetup { l, rs1, offset: 0 }, target)
     }
 
     /// `lp.setupi l, imm, label`: one-instruction loop setup with an
     /// immediate trip count (body limited to 62 bytes by the encoding).
     pub fn lp_setupi(&mut self, l: LoopIdx, imm: u32, target: &str) -> &mut Self {
-        self.items.push(Item::LpSetupi {
-            l,
-            imm,
-            target: target.to_string(),
-        });
-        self
+        self.reloc(Instr::LpSetupi { l, imm, offset: 0 }, target)
     }
 
     /// Number of instruction words emitted so far.
@@ -684,92 +661,30 @@ impl Asm {
                     instr.validate()?;
                     instrs.push(*instr);
                 }
-                Item::Branch {
-                    cond,
-                    rs1,
-                    rs2,
-                    target,
-                } => {
+                Item::Reloc { instr, target } => {
                     let offset = lookup(target)? as i64 - addr as i64;
-                    if !(-4096..4096).contains(&offset) || offset & 1 != 0 {
-                        return Err(AsmError::BranchRange {
-                            label: target.clone(),
-                            offset,
+                    let mut instr = *instr;
+                    let fits = instr.operands(|operand| match operand {
+                        Operand::Imm(v, field) if field.pc_rel => {
+                            v.set(offset);
+                            if field.fits(offset) {
+                                Ok(())
+                            } else {
+                                Err(())
+                            }
+                        }
+                        _ => Ok(()),
+                    });
+                    if fits.is_err() {
+                        let label = target.clone();
+                        return Err(match instr {
+                            Instr::Branch { .. } => AsmError::BranchRange { label, offset },
+                            Instr::Jal { .. } => AsmError::JumpRange { label, offset },
+                            _ => AsmError::LoopRange { label, offset },
                         });
                     }
-                    instrs.push(Instr::Branch {
-                        cond: *cond,
-                        rs1: *rs1,
-                        rs2: *rs2,
-                        offset: offset as i32,
-                    });
-                }
-                Item::Jal { rd, target } => {
-                    let offset = lookup(target)? as i64 - addr as i64;
-                    if !(-(1 << 20)..(1 << 20)).contains(&offset) || offset & 1 != 0 {
-                        return Err(AsmError::JumpRange {
-                            label: target.clone(),
-                            offset,
-                        });
-                    }
-                    instrs.push(Instr::Jal {
-                        rd: *rd,
-                        offset: offset as i32,
-                    });
-                }
-                Item::LpStarti { l, target } => {
-                    let offset = lookup(target)? as i64 - addr as i64;
-                    if !(0..8192).contains(&offset) || offset & 3 != 0 {
-                        return Err(AsmError::LoopRange {
-                            label: target.clone(),
-                            offset,
-                        });
-                    }
-                    instrs.push(Instr::LpStarti {
-                        l: *l,
-                        offset: offset as i32,
-                    });
-                }
-                Item::LpEndi { l, target } => {
-                    let offset = lookup(target)? as i64 - addr as i64;
-                    if !(0..8192).contains(&offset) || offset & 3 != 0 {
-                        return Err(AsmError::LoopRange {
-                            label: target.clone(),
-                            offset,
-                        });
-                    }
-                    instrs.push(Instr::LpEndi {
-                        l: *l,
-                        offset: offset as i32,
-                    });
-                }
-                Item::LpSetup { l, rs1, target } => {
-                    let offset = lookup(target)? as i64 - addr as i64;
-                    if !(0..8192).contains(&offset) || offset & 3 != 0 {
-                        return Err(AsmError::LoopRange {
-                            label: target.clone(),
-                            offset,
-                        });
-                    }
-                    instrs.push(Instr::LpSetup {
-                        l: *l,
-                        rs1: *rs1,
-                        offset: offset as i32,
-                    });
-                }
-                Item::LpSetupi { l, imm, target } => {
-                    let offset = lookup(target)? as i64 - addr as i64;
-                    if !(0..64).contains(&offset) || offset & 3 != 0 {
-                        return Err(AsmError::LoopRange {
-                            label: target.clone(),
-                            offset,
-                        });
-                    }
-                    instrs.push(Instr::LpSetupi {
-                        l: *l,
-                        imm: *imm,
-                        offset: offset as i32,
-                    });
+                    instr.validate()?;
+                    instrs.push(instr);
                 }
                 Item::La { rd, target } => {
                     let value = lookup(target)?;

@@ -4,7 +4,8 @@
 //! [`pulp_isa::Instr`]'s `Display` implementation, plus:
 //!
 //! * `label:` definitions and label operands in branches/jumps/loops,
-//! * pseudo-instructions `li`, `la`, `mv`, `j`, `ret`, `csrr`,
+//! * pseudo-instructions `li`, `la`, `mv`, `j`, `ret`, `csrr`, `sltiu`
+//!   and one-operand `jal`,
 //! * directives `.org <addr>`, `.equ <name>, <value>`,
 //!   `.word <label>, v…`, `.half <label>, v…`, `.byte <label>, v…`,
 //! * `#` and `//` comments.
@@ -12,17 +13,25 @@
 //! Branch/jump/loop targets may be labels or numeric byte offsets
 //! (relative to the instruction itself), so `parse` inverts `Display`
 //! exactly — a property the test suite checks instruction by instruction.
+//!
+//! There is no per-mnemonic parser: the mnemonic table holds one
+//! prototype instruction per form, and [`Instr::operands`] — the same
+//! operand list `Display` prints — says what each operand is and which
+//! field holds it. Every number is parsed as `i64` and checked against
+//! its field before it is stored, so an out-of-range operand is a
+//! line-numbered error, never a different instruction.
 
 use crate::builder::{Asm, AsmError};
 use crate::program::Program;
-use pulp_isa::instr::{
-    AluOp, BitOp, BranchCond, Instr, LoadKind, LoopIdx, MulDivOp, PulpAluOp, SimdAluOp,
-    SimdOperand, StoreKind,
-};
-use pulp_isa::simd::{DotSign, SimdFmt};
+use pulp_isa::decode::decode;
+use pulp_isa::instr::{AluOp, Instr, LoopIdx, MemOffset, Operand};
+use pulp_isa::table::{Field, FUNCT3, FUNCT7, OPCODE, RS2};
 use pulp_isa::vec::{VReg, VecSew};
 use pulp_isa::Reg;
+use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// An error produced while parsing assembly text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,6 +90,9 @@ fn parse_int(s: &str) -> Option<i64> {
         Some(rest) => (true, rest),
         None => (false, s),
     };
+    if body.starts_with(['-', '+']) {
+        return None;
+    }
     let v = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
         i64::from_str_radix(hex, 16).ok()?
     } else {
@@ -89,8 +101,34 @@ fn parse_int(s: &str) -> Option<i64> {
     Some(if neg { -v } else { v })
 }
 
+/// A number in `lo..=hi`.
+fn int_in(s: &str, lo: i64, hi: i64, line: usize) -> Result<i64, TextAsmError> {
+    let v = parse_int(s).ok_or_else(|| err(line, format!("expected number, got `{s}`")))?;
+    if (lo..=hi).contains(&v) {
+        Ok(v)
+    } else {
+        Err(err(line, format!("{v} out of range {lo}..={hi}")))
+    }
+}
+
+/// The value of numeric text `s` for `field`: scaled back where the
+/// field is written shifted (`lui`'s `imm >> 12`), and range-, scale-
+/// and alignment-checked.
+fn field_value(s: &str, field: &Field, line: usize) -> Result<i64, TextAsmError> {
+    let v = parse_int(s).ok_or_else(|| err(line, format!("expected number, got `{s}`")))?;
+    field
+        .hex_shift
+        .map_or(Some(v), |shift| v.checked_mul(1 << shift))
+        .filter(|&v| field.fits(v))
+        .ok_or_else(|| err(line, format!("`{s}` does not fit the {} field", field.name)))
+}
+
 fn parse_reg(s: &str, line: usize) -> Result<Reg, TextAsmError> {
     Reg::parse(s.trim()).ok_or_else(|| err(line, format!("unknown register `{s}`")))
+}
+
+fn parse_vreg(s: &str, line: usize) -> Result<VReg, TextAsmError> {
+    VReg::parse(s.trim()).ok_or_else(|| err(line, format!("unknown vector register `{s}`")))
 }
 
 /// Splits `off(base)` / `reg(base!)` memory operand syntax.
@@ -110,100 +148,6 @@ fn parse_mem_operand(s: &str, line: usize) -> Result<(String, String, bool), Tex
     Ok((outer, inner.trim().to_string(), post_inc))
 }
 
-fn load_kind_of(stem: &str) -> Option<LoadKind> {
-    match stem {
-        "lb" => Some(LoadKind::Byte),
-        "lh" => Some(LoadKind::Half),
-        "lw" => Some(LoadKind::Word),
-        "lbu" => Some(LoadKind::ByteU),
-        "lhu" => Some(LoadKind::HalfU),
-        _ => None,
-    }
-}
-
-fn store_kind_of(stem: &str) -> Option<StoreKind> {
-    match stem {
-        "sb" => Some(StoreKind::Byte),
-        "sh" => Some(StoreKind::Half),
-        "sw" => Some(StoreKind::Word),
-        _ => None,
-    }
-}
-
-fn branch_cond_of(m: &str) -> Option<BranchCond> {
-    match m {
-        "beq" => Some(BranchCond::Eq),
-        "bne" => Some(BranchCond::Ne),
-        "blt" => Some(BranchCond::Lt),
-        "bge" => Some(BranchCond::Ge),
-        "bltu" => Some(BranchCond::Ltu),
-        "bgeu" => Some(BranchCond::Geu),
-        _ => None,
-    }
-}
-
-fn alu_op_of(m: &str) -> Option<AluOp> {
-    match m {
-        "add" => Some(AluOp::Add),
-        "sub" => Some(AluOp::Sub),
-        "sll" => Some(AluOp::Sll),
-        "slt" => Some(AluOp::Slt),
-        "sltu" => Some(AluOp::Sltu),
-        "xor" => Some(AluOp::Xor),
-        "srl" => Some(AluOp::Srl),
-        "sra" => Some(AluOp::Sra),
-        "or" => Some(AluOp::Or),
-        "and" => Some(AluOp::And),
-        _ => None,
-    }
-}
-
-fn muldiv_op_of(m: &str) -> Option<MulDivOp> {
-    match m {
-        "mul" => Some(MulDivOp::Mul),
-        "mulh" => Some(MulDivOp::Mulh),
-        "mulhsu" => Some(MulDivOp::Mulhsu),
-        "mulhu" => Some(MulDivOp::Mulhu),
-        "div" => Some(MulDivOp::Div),
-        "divu" => Some(MulDivOp::Divu),
-        "rem" => Some(MulDivOp::Rem),
-        "remu" => Some(MulDivOp::Remu),
-        _ => None,
-    }
-}
-
-fn simd_alu_op_of(stem: &str) -> Option<SimdAluOp> {
-    match stem {
-        "add" => Some(SimdAluOp::Add),
-        "sub" => Some(SimdAluOp::Sub),
-        "avg" => Some(SimdAluOp::Avg),
-        "avgu" => Some(SimdAluOp::Avgu),
-        "min" => Some(SimdAluOp::Min),
-        "minu" => Some(SimdAluOp::Minu),
-        "max" => Some(SimdAluOp::Max),
-        "maxu" => Some(SimdAluOp::Maxu),
-        "srl" => Some(SimdAluOp::Srl),
-        "sra" => Some(SimdAluOp::Sra),
-        "sll" => Some(SimdAluOp::Sll),
-        "or" => Some(SimdAluOp::Or),
-        "and" => Some(SimdAluOp::And),
-        "xor" => Some(SimdAluOp::Xor),
-        _ => None,
-    }
-}
-
-fn dot_sign_of(stem: &str) -> Option<(DotSign, bool)> {
-    match stem {
-        "dotup" => Some((DotSign::UnsignedUnsigned, false)),
-        "dotusp" => Some((DotSign::UnsignedSigned, false)),
-        "dotsp" => Some((DotSign::SignedSigned, false)),
-        "sdotup" => Some((DotSign::UnsignedUnsigned, true)),
-        "sdotusp" => Some((DotSign::UnsignedSigned, true)),
-        "sdotsp" => Some((DotSign::SignedSigned, true)),
-        _ => None,
-    }
-}
-
 fn loop_idx_of(s: &str, line: usize) -> Result<LoopIdx, TextAsmError> {
     match s.trim() {
         "x0" | "0" | "l0" => Ok(LoopIdx::L0),
@@ -221,685 +165,174 @@ fn operands(rest: &str) -> Vec<String> {
     }
 }
 
-struct LineCtx<'a> {
-    asm: &'a mut Asm,
-    line: usize,
-}
-
-impl LineCtx<'_> {
-    fn need(&self, ops: &[String], n: usize) -> Result<(), TextAsmError> {
-        if ops.len() == n {
-            Ok(())
-        } else {
-            Err(err(
-                self.line,
-                format!("expected {n} operands, got {}", ops.len()),
-            ))
-        }
-    }
-
-    fn int(&self, s: &str) -> Result<i64, TextAsmError> {
-        parse_int(s).ok_or_else(|| err(self.line, format!("expected number, got `{s}`")))
-    }
-
-    fn reg(&self, s: &str) -> Result<Reg, TextAsmError> {
-        parse_reg(s, self.line)
-    }
-
-    /// Branch/jump target: numeric offset → direct instruction, label →
-    /// builder item.
-    fn branch(&mut self, cond: BranchCond, rs1: Reg, rs2: Reg, target: &str) {
-        if let Some(offset) = parse_int(target) {
-            self.asm.i(Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                offset: offset as i32,
-            });
-        } else {
-            self.asm.branch(cond, rs1, rs2, target);
-        }
-    }
-
-    fn jal(&mut self, rd: Reg, target: &str) {
-        if let Some(offset) = parse_int(target) {
-            self.asm.i(Instr::Jal {
-                rd,
-                offset: offset as i32,
-            });
-        } else if rd == Reg::Zero {
-            self.asm.j(target);
-        } else {
-            // Builder's jal links into ra; other link registers need the
-            // numeric form.
-            self.asm.jal(target);
-        }
-    }
-}
-
-/// Parses a `pv.` mnemonic of shape `pv.<stem>[.sc|.sci].<fmt>`.
-fn parse_pv(mnemonic: &str, ops: &[String], ctx: &mut LineCtx<'_>) -> Result<(), TextAsmError> {
-    let line = ctx.line;
-    let parts: Vec<&str> = mnemonic.split('.').collect();
-    // parts[0] == "pv"
-    let (stem, mode, fmt_s) = match parts.len() {
-        3 => (parts[1], "", parts[2]),
-        4 => (parts[1], parts[2], parts[3]),
-        _ => return Err(err(line, format!("malformed SIMD mnemonic `{mnemonic}`"))),
-    };
-    let fmt = SimdFmt::parse_suffix(fmt_s)
-        .ok_or_else(|| err(line, format!("unknown SIMD format `.{fmt_s}`")))?;
-
-    // Unary / special forms first.
-    match stem {
-        "abs" => {
-            ctx.need(ops, 2)?;
-            let (rd, rs1) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?);
-            ctx.asm.i(Instr::PvAbs { fmt, rd, rs1 });
-            return Ok(());
-        }
-        "extract" | "extractu" => {
-            ctx.need(ops, 3)?;
-            let (rd, rs1) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?);
-            let idx = ctx.int(&ops[2])? as u8;
-            ctx.asm.i(Instr::PvExtract {
-                fmt,
-                rd,
-                rs1,
-                idx,
-                signed: stem == "extract",
-            });
-            return Ok(());
-        }
-        "insert" => {
-            ctx.need(ops, 3)?;
-            let (rd, rs1) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?);
-            let idx = ctx.int(&ops[2])? as u8;
-            ctx.asm.i(Instr::PvInsert { fmt, rd, rs1, idx });
-            return Ok(());
-        }
-        "qnt" => {
-            ctx.need(ops, 3)?;
-            let (rd, rs1, rs2) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?, ctx.reg(&ops[2])?);
-            ctx.asm.i(Instr::PvQnt { fmt, rd, rs1, rs2 });
-            return Ok(());
-        }
-        "shuffle2" => {
-            ctx.need(ops, 3)?;
-            let (rd, rs1, rs2) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?, ctx.reg(&ops[2])?);
-            ctx.asm.i(Instr::PvShuffle2 { fmt, rd, rs1, rs2 });
-            return Ok(());
-        }
-        _ => {}
-    }
-
-    ctx.need(ops, 3)?;
-    let (rd, rs1) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?);
-    let op2 = match mode {
-        "" => SimdOperand::Vector(ctx.reg(&ops[2])?),
-        "sc" => SimdOperand::Scalar(ctx.reg(&ops[2])?),
-        "sci" => SimdOperand::Imm(ctx.int(&ops[2])? as i8),
-        other => return Err(err(line, format!("unknown SIMD mode `.{other}`"))),
-    };
-    if let Some(op) = simd_alu_op_of(stem) {
-        ctx.asm.i(Instr::PvAlu {
-            op,
-            fmt,
-            rd,
-            rs1,
-            op2,
-        });
-        return Ok(());
-    }
-    if let Some((sign, acc)) = dot_sign_of(stem) {
-        let instr = if acc {
-            Instr::PvSdot {
-                fmt,
-                sign,
-                rd,
-                rs1,
-                op2,
-            }
-        } else {
-            Instr::PvDot {
-                fmt,
-                sign,
-                rd,
-                rs1,
-                op2,
-            }
-        };
-        ctx.asm.i(instr);
-        return Ok(());
-    }
-    Err(err(line, format!("unknown SIMD operation `{stem}`")))
-}
-
-/// Parses the `(base)` memory operand of a vector load/store: no
-/// offset, no post-increment — addressing state lives in the stride
-/// register and `vl`.
-fn parse_vmem_base(s: &str, line: usize) -> Result<Reg, TextAsmError> {
-    let (outer, base, post) = parse_mem_operand(s, line)?;
-    if !outer.is_empty() || post {
-        return Err(err(
+fn need(ops: &[String], n: usize, line: usize) -> Result<(), TextAsmError> {
+    if ops.len() == n {
+        Ok(())
+    } else {
+        Err(err(
             line,
-            format!("vector memory operand must be plain `(base)`, got `{s}`"),
-        ));
+            format!("expected {n} operands, got {}", ops.len()),
+        ))
     }
-    parse_reg(&base, line)
 }
 
-fn parse_vreg(s: &str, line: usize) -> Result<VReg, TextAsmError> {
-    VReg::parse(s.trim()).ok_or_else(|| err(line, format!("unknown vector register `{s}`")))
-}
-
-/// Parses a vector (Xrvv) mnemonic.
-fn parse_v(mnemonic: &str, ops: &[String], ctx: &mut LineCtx<'_>) -> Result<(), TextAsmError> {
-    let line = ctx.line;
-    match mnemonic {
-        "vsetvli" => {
-            ctx.need(ops, 3)?;
-            let (rd, rs1) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?);
-            let sew = VecSew::parse(ops[2].trim())
-                .ok_or_else(|| err(line, format!("unknown element width `{}`", ops[2])))?;
-            ctx.asm.i(Instr::VSetvli { rd, rs1, sew });
-            return Ok(());
-        }
-        "vle.v" | "vse.v" => {
-            ctx.need(ops, 2)?;
-            let v = parse_vreg(&ops[0], line)?;
-            let rs1 = parse_vmem_base(&ops[1], line)?;
-            let instr = if mnemonic == "vle.v" {
-                Instr::VLoad { vd: v, rs1 }
-            } else {
-                Instr::VStore { vs: v, rs1 }
-            };
-            ctx.asm.i(instr);
-            return Ok(());
-        }
-        "vlse.v" | "vsse.v" => {
-            ctx.need(ops, 3)?;
-            let v = parse_vreg(&ops[0], line)?;
-            let rs1 = parse_vmem_base(&ops[1], line)?;
-            let rs2 = ctx.reg(&ops[2])?;
-            let instr = if mnemonic == "vlse.v" {
-                Instr::VLoadStrided { vd: v, rs1, rs2 }
-            } else {
-                Instr::VStoreStrided { vs: v, rs1, rs2 }
-            };
-            ctx.asm.i(instr);
-            return Ok(());
-        }
-        "vslide1down.vx" => {
-            ctx.need(ops, 3)?;
-            let vd = parse_vreg(&ops[0], line)?;
-            let vs2 = parse_vreg(&ops[1], line)?;
-            let rs1 = ctx.reg(&ops[2])?;
-            ctx.asm.i(Instr::VSlide1 { vd, vs2, rs1 });
-            return Ok(());
-        }
-        "vmv.x.s" => {
-            ctx.need(ops, 2)?;
-            let rd = ctx.reg(&ops[0])?;
-            let vs2 = parse_vreg(&ops[1], line)?;
-            ctx.asm.i(Instr::VMvXS { rd, vs2 });
-            return Ok(());
-        }
-        _ => {}
-    }
-    // `vdot<sign>.vv rd, vs1, vs2`
-    if let Some(infix) = mnemonic
-        .strip_prefix("vdot")
-        .and_then(|s| s.strip_suffix(".vv"))
-    {
-        let sign = match infix {
-            "up" => DotSign::UnsignedUnsigned,
-            "usp" => DotSign::UnsignedSigned,
-            "sp" => DotSign::SignedSigned,
-            other => return Err(err(line, format!("unknown dot signedness `{other}`"))),
-        };
-        ctx.need(ops, 3)?;
-        let rd = ctx.reg(&ops[0])?;
-        let vs1 = parse_vreg(&ops[1], line)?;
-        let vs2 = parse_vreg(&ops[2], line)?;
-        ctx.asm.i(Instr::VDot { sign, rd, vs1, vs2 });
-        return Ok(());
-    }
-    // `vqnt.<fmt>.v vd, rs1, vs2`
-    if let Some(fmt_s) = mnemonic
-        .strip_prefix("vqnt.")
-        .and_then(|s| s.strip_suffix(".v"))
-    {
-        let fmt = SimdFmt::parse_suffix(fmt_s)
-            .ok_or_else(|| err(line, format!("unknown quantization format `.{fmt_s}`")))?;
-        ctx.need(ops, 3)?;
-        let vd = parse_vreg(&ops[0], line)?;
-        let rs1 = ctx.reg(&ops[1])?;
-        let vs2 = parse_vreg(&ops[2], line)?;
-        ctx.asm.i(Instr::VQnt { fmt, vd, rs1, vs2 });
-        return Ok(());
-    }
-    Err(err(line, format!("unknown vector mnemonic `{mnemonic}`")))
-}
-
-/// Parses a `p.` scalar / memory mnemonic.
-fn parse_p(mnemonic: &str, ops: &[String], ctx: &mut LineCtx<'_>) -> Result<(), TextAsmError> {
-    let line = ctx.line;
-    let stem = &mnemonic[2..];
-    // Memory forms: p.lw rd, imm(rs1!) | rs2(rs1!) | rs2(rs1)
-    if let Some(kind) = load_kind_of(stem) {
-        ctx.need(ops, 2)?;
-        let rd = ctx.reg(&ops[0])?;
-        let (outer, base, post) = parse_mem_operand(&ops[1], line)?;
-        let rs1 = ctx.reg(&base)?;
-        let instr = match (parse_int(&outer), post) {
-            (Some(offset), true) => Instr::LoadPostInc {
-                kind,
-                rd,
-                rs1,
-                offset: offset as i32,
-            },
-            (Some(_), false) => {
-                return Err(err(
-                    line,
-                    "p.l* with immediate offset requires `!` post-increment",
-                ));
+/// Every assembly form by mnemonic, read off the decoder: each word
+/// whose selector bits (opcode, funct3, funct7, and bit 20 for
+/// `ebreak`) take every value while the other bits stay zero decodes
+/// to a prototype, and the first prototype of each (mnemonic, variant)
+/// is kept. `p.lw` has three (immediate post-increment, register
+/// post-increment, register offset); most mnemonics have one.
+fn forms() -> &'static HashMap<String, Vec<Instr>> {
+    static FORMS: OnceLock<HashMap<String, Vec<Instr>>> = OnceLock::new();
+    FORMS.get_or_init(|| {
+        let mut forms: HashMap<String, Vec<Instr>> = HashMap::new();
+        for sel in 0..1u32 << 18 {
+            let word = OPCODE.pack(sel & 0x7f)
+                | FUNCT3.pack(sel >> 7 & 7)
+                | RS2.pack(sel >> 10 & 1)
+                | FUNCT7.pack(sel >> 11);
+            if let Ok(instr) = decode(word) {
+                let protos = forms.entry(instr.mnemonic()).or_default();
+                let variant = std::mem::discriminant(&instr);
+                if !protos.iter().any(|p| std::mem::discriminant(p) == variant) {
+                    protos.push(instr);
+                }
             }
-            (None, true) => Instr::LoadPostIncReg {
-                kind,
-                rd,
-                rs1,
-                rs2: ctx.reg(&outer)?,
-            },
-            (None, false) => Instr::LoadRegOff {
-                kind,
-                rd,
-                rs1,
-                rs2: ctx.reg(&outer)?,
-            },
-        };
-        ctx.asm.i(instr);
-        return Ok(());
-    }
-    if let Some(kind) = store_kind_of(stem) {
-        ctx.need(ops, 2)?;
-        let rs2 = ctx.reg(&ops[0])?;
-        let (outer, base, post) = parse_mem_operand(&ops[1], line)?;
-        let rs1 = ctx.reg(&base)?;
-        let instr = match (parse_int(&outer), post) {
-            (Some(offset), true) => Instr::StorePostInc {
-                kind,
-                rs1,
-                rs2,
-                offset: offset as i32,
-            },
-            (None, true) => Instr::StorePostIncReg {
-                kind,
-                rs1,
-                rs2,
-                rs3: ctx.reg(&outer)?,
-            },
-            _ => return Err(err(line, "p.s* requires `!` post-increment")),
-        };
-        ctx.asm.i(instr);
-        return Ok(());
-    }
-
-    let pulp_alu = |op: PulpAluOp| -> Option<PulpAluOp> { Some(op) };
-    let two_src = match stem {
-        "min" => pulp_alu(PulpAluOp::Min),
-        "minu" => pulp_alu(PulpAluOp::Minu),
-        "max" => pulp_alu(PulpAluOp::Max),
-        "maxu" => pulp_alu(PulpAluOp::Maxu),
-        _ => None,
-    };
-    if let Some(op) = two_src {
-        ctx.need(ops, 3)?;
-        let (rd, rs1, rs2) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?, ctx.reg(&ops[2])?);
-        ctx.asm.i(Instr::PulpAlu { op, rd, rs1, rs2 });
-        return Ok(());
-    }
-    let one_src = match stem {
-        "abs" => pulp_alu(PulpAluOp::Abs),
-        "exths" => pulp_alu(PulpAluOp::Exths),
-        "exthz" => pulp_alu(PulpAluOp::Exthz),
-        "extbs" => pulp_alu(PulpAluOp::Extbs),
-        "extbz" => pulp_alu(PulpAluOp::Extbz),
-        _ => None,
-    };
-    if let Some(op) = one_src {
-        ctx.need(ops, 2)?;
-        let (rd, rs1) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?);
-        ctx.asm.i(Instr::PulpAlu {
-            op,
-            rd,
-            rs1,
-            rs2: Reg::Zero,
-        });
-        return Ok(());
-    }
-    match stem {
-        "clip" | "clipu" => {
-            ctx.need(ops, 3)?;
-            let (rd, rs1) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?);
-            let bits = ctx.int(&ops[2])? as u8;
-            let instr = if stem == "clip" {
-                Instr::PClip { rd, rs1, bits }
-            } else {
-                Instr::PClipU { rd, rs1, bits }
-            };
-            ctx.asm.i(instr);
-            Ok(())
         }
-        "mac" | "msu" => {
-            ctx.need(ops, 3)?;
-            let (rd, rs1, rs2) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?, ctx.reg(&ops[2])?);
-            let instr = if stem == "mac" {
-                Instr::PMac { rd, rs1, rs2 }
-            } else {
-                Instr::PMsu { rd, rs1, rs2 }
-            };
-            ctx.asm.i(instr);
-            Ok(())
-        }
-        "ff1" | "fl1" | "cnt" | "clb" => {
-            ctx.need(ops, 2)?;
-            let (rd, rs1) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?);
-            let op = match stem {
-                "ff1" => BitOp::Ff1,
-                "fl1" => BitOp::Fl1,
-                "cnt" => BitOp::Cnt,
-                _ => BitOp::Clb,
-            };
-            ctx.asm.i(Instr::PBit { op, rd, rs1 });
-            Ok(())
-        }
-        "extract" | "extractu" | "insert" => {
-            ctx.need(ops, 4)?;
-            let (rd, rs1) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?);
-            let len = ctx.int(&ops[2])? as u8;
-            let off = ctx.int(&ops[3])? as u8;
-            let instr = match stem {
-                "extract" => Instr::PExtract { rd, rs1, len, off },
-                "extractu" => Instr::PExtractU { rd, rs1, len, off },
-                _ => Instr::PInsert { rd, rs1, len, off },
-            };
-            ctx.asm.i(instr);
-            Ok(())
-        }
-        other => Err(err(line, format!("unknown pulp instruction `p.{other}`"))),
-    }
+        forms
+    })
 }
 
-/// Parses an `lp.` hardware-loop mnemonic.
-fn parse_lp(mnemonic: &str, ops: &[String], ctx: &mut LineCtx<'_>) -> Result<(), TextAsmError> {
-    let line = ctx.line;
-    let stem = &mnemonic[3..];
-    let l = loop_idx_of(&ops[0], line)?;
-    match stem {
-        "starti" | "endi" => {
-            ctx.need(ops, 2)?;
-            if let Some(offset) = parse_int(&ops[1]) {
-                let instr = if stem == "starti" {
-                    Instr::LpStarti {
-                        l,
-                        offset: offset as i32,
+/// Fills `instr`'s operands from `ops` in text order. Returns the
+/// label named by a symbolic pc-relative operand, if any.
+fn fill(
+    mut instr: Instr,
+    ops: &[String],
+    line: usize,
+) -> Result<(Instr, Option<String>), TextAsmError> {
+    let mut arity = 0;
+    let Ok(()) = instr.operands(|_| {
+        arity += 1;
+        Ok::<_, Infallible>(())
+    });
+    need(ops, arity, line)?;
+    let mut label = None;
+    let mut texts = ops.iter();
+    instr.operands(|slot| {
+        let text = texts.next().expect("the operand count was checked");
+        match slot {
+            Operand::Reg(r) => *r = parse_reg(text, line)?,
+            Operand::VReg(v) => *v = parse_vreg(text, line)?,
+            Operand::Loop(l) => *l = loop_idx_of(text, line)?,
+            Operand::Sew(sew) => {
+                *sew = VecSew::from_mnemonic(text)
+                    .ok_or_else(|| err(line, format!("unknown element width `{text}`")))?;
+            }
+            Operand::Imm(_, field) if field.pc_rel && parse_int(text).is_none() => {
+                label = Some(text.clone());
+            }
+            Operand::Imm(v, field) => v.set(field_value(text, field, line)?),
+            Operand::Mem {
+                off,
+                base,
+                post_inc,
+            } => {
+                let (outer, inner, post) = parse_mem_operand(text, line)?;
+                if post != post_inc {
+                    let takes = if post_inc { "needs" } else { "takes no" };
+                    return Err(err(line, format!("`{text}`: this form {takes} `!`")));
+                }
+                *base = parse_reg(&inner, line)?;
+                match off {
+                    MemOffset::Imm(v, field) => v.set(field_value(&outer, field, line)?),
+                    MemOffset::Reg(r) => *r = parse_reg(&outer, line)?,
+                    MemOffset::None if outer.is_empty() => {}
+                    MemOffset::None => {
+                        return Err(err(
+                            line,
+                            format!("vector memory operand must be plain `(base)`, got `{text}`"),
+                        ))
                     }
-                } else {
-                    Instr::LpEndi {
-                        l,
-                        offset: offset as i32,
-                    }
-                };
-                ctx.asm.i(instr);
-            } else if stem == "starti" {
-                ctx.asm.lp_starti(l, &ops[1]);
-            } else {
-                ctx.asm.lp_endi(l, &ops[1]);
+                }
             }
-            Ok(())
         }
-        "count" => {
-            ctx.need(ops, 2)?;
-            let rs1 = ctx.reg(&ops[1])?;
-            ctx.asm.lp_count(l, rs1);
-            Ok(())
-        }
-        "counti" => {
-            ctx.need(ops, 2)?;
-            let imm = ctx.int(&ops[1])? as u32;
-            ctx.asm.lp_counti(l, imm);
-            Ok(())
-        }
-        "setup" => {
-            ctx.need(ops, 3)?;
-            let rs1 = ctx.reg(&ops[1])?;
-            if let Some(offset) = parse_int(&ops[2]) {
-                ctx.asm.i(Instr::LpSetup {
-                    l,
-                    rs1,
-                    offset: offset as i32,
-                });
-            } else {
-                ctx.asm.lp_setup(l, rs1, &ops[2]);
-            }
-            Ok(())
-        }
-        "setupi" => {
-            ctx.need(ops, 3)?;
-            let imm = ctx.int(&ops[1])? as u32;
-            if let Some(offset) = parse_int(&ops[2]) {
-                ctx.asm.i(Instr::LpSetupi {
-                    l,
-                    imm,
-                    offset: offset as i32,
-                });
-            } else {
-                ctx.asm.lp_setupi(l, imm, &ops[2]);
-            }
-            Ok(())
-        }
-        other => Err(err(line, format!("unknown hardware-loop op `lp.{other}`"))),
-    }
+        Ok(())
+    })?;
+    Ok((instr, label))
 }
 
 fn parse_instruction(
     mnemonic: &str,
     rest: &str,
-    ctx: &mut LineCtx<'_>,
+    asm: &mut Asm,
+    line: usize,
 ) -> Result<(), TextAsmError> {
-    let line = ctx.line;
-    let ops = operands(rest);
-    if mnemonic.starts_with("pv.") {
-        return parse_pv(mnemonic, &ops, ctx);
-    }
-    if mnemonic.starts_with("p.") {
-        return parse_p(mnemonic, &ops, ctx);
-    }
-    if mnemonic.starts_with("lp.") {
-        return parse_lp(mnemonic, &ops, ctx);
-    }
-    // No scalar mnemonic starts with `v`; everything there is Xrvv.
-    if mnemonic.starts_with('v') {
-        return parse_v(mnemonic, &ops, ctx);
-    }
-    if let Some(cond) = branch_cond_of(mnemonic) {
-        ctx.need(&ops, 3)?;
-        let (rs1, rs2) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?);
-        ctx.branch(cond, rs1, rs2, &ops[2]);
-        return Ok(());
-    }
-    if let Some(kind) = load_kind_of(mnemonic) {
-        ctx.need(&ops, 2)?;
-        let rd = ctx.reg(&ops[0])?;
-        let (outer, base, post) = parse_mem_operand(&ops[1], line)?;
-        if post {
-            return Err(err(line, "post-increment requires the p.* form"));
-        }
-        let offset = ctx.int(&outer)? as i32;
-        let rs1 = ctx.reg(&base)?;
-        ctx.asm.i(Instr::Load {
-            kind,
-            rd,
-            rs1,
-            offset,
-        });
-        return Ok(());
-    }
-    if let Some(kind) = store_kind_of(mnemonic) {
-        ctx.need(&ops, 2)?;
-        let rs2 = ctx.reg(&ops[0])?;
-        let (outer, base, _) = parse_mem_operand(&ops[1], line)?;
-        let offset = ctx.int(&outer)? as i32;
-        let rs1 = ctx.reg(&base)?;
-        ctx.asm.i(Instr::Store {
-            kind,
-            rs1,
-            rs2,
-            offset,
-        });
-        return Ok(());
-    }
-    if let Some(op) = muldiv_op_of(mnemonic) {
-        ctx.need(&ops, 3)?;
-        let (rd, rs1, rs2) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?, ctx.reg(&ops[2])?);
-        ctx.asm.i(Instr::MulDiv { op, rd, rs1, rs2 });
-        return Ok(());
-    }
-    if let Some(op) = alu_op_of(mnemonic) {
-        ctx.need(&ops, 3)?;
-        let (rd, rs1, rs2) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?, ctx.reg(&ops[2])?);
-        ctx.asm.i(Instr::Alu { op, rd, rs1, rs2 });
-        return Ok(());
-    }
-    // Immediate ALU forms: addi/slti/sltiu/xori/ori/andi/slli/srli/srai.
-    if let Some(stem) = mnemonic.strip_suffix('i') {
-        if let Some(op) = alu_op_of(stem) {
-            ctx.need(&ops, 3)?;
-            let (rd, rs1) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?);
-            let imm = ctx.int(&ops[2])? as i32;
-            ctx.asm.i(Instr::AluImm { op, rd, rs1, imm });
+    let mut ops = operands(rest);
+    // Pseudo-instructions: expand, or rewrite to a canonical form.
+    let canonical = match mnemonic {
+        "li" => {
+            need(&ops, 2, line)?;
+            let v = int_in(&ops[1], i32::MIN.into(), u32::MAX.into(), line)?;
+            asm.li(parse_reg(&ops[0], line)?, v as u32 as i32);
             return Ok(());
         }
-    }
-    if mnemonic == "sltiu" {
-        ctx.need(&ops, 3)?;
-        let (rd, rs1) = (ctx.reg(&ops[0])?, ctx.reg(&ops[1])?);
-        let imm = ctx.int(&ops[2])? as i32;
-        ctx.asm.i(Instr::AluImm {
-            op: AluOp::Sltu,
-            rd,
-            rs1,
-            imm,
-        });
-        return Ok(());
-    }
-    match mnemonic {
-        "lui" | "auipc" => {
-            ctx.need(&ops, 2)?;
-            let rd = ctx.reg(&ops[0])?;
-            let imm = (ctx.int(&ops[1])? as u32) << 12;
-            let instr = if mnemonic == "lui" {
-                Instr::Lui { rd, imm }
-            } else {
-                Instr::Auipc { rd, imm }
-            };
-            ctx.asm.i(instr);
-            Ok(())
-        }
-        "jal" => match ops.len() {
-            1 => {
-                ctx.jal(Reg::Ra, &ops[0]);
-                Ok(())
-            }
-            2 => {
-                let rd = ctx.reg(&ops[0])?;
-                ctx.jal(rd, &ops[1]);
-                Ok(())
-            }
-            n => Err(err(line, format!("jal takes 1 or 2 operands, got {n}"))),
-        },
-        "j" => {
-            ctx.need(&ops, 1)?;
-            ctx.jal(Reg::Zero, &ops[0]);
-            Ok(())
-        }
-        "jalr" => {
-            ctx.need(&ops, 2)?;
-            let rd = ctx.reg(&ops[0])?;
-            let (outer, base, _) = parse_mem_operand(&ops[1], line)?;
-            let offset = ctx.int(&outer)? as i32;
-            let rs1 = ctx.reg(&base)?;
-            ctx.asm.i(Instr::Jalr { rd, rs1, offset });
-            Ok(())
-        }
-        "ret" => {
-            ctx.asm.ret();
-            Ok(())
-        }
-        "li" => {
-            ctx.need(&ops, 2)?;
-            let rd = ctx.reg(&ops[0])?;
-            let v = ctx.int(&ops[1])? as i32;
-            ctx.asm.li(rd, v);
-            Ok(())
-        }
         "la" => {
-            ctx.need(&ops, 2)?;
-            let rd = ctx.reg(&ops[0])?;
-            ctx.asm.la(rd, &ops[1]);
-            Ok(())
+            need(&ops, 2, line)?;
+            asm.la(parse_reg(&ops[0], line)?, &ops[1]);
+            return Ok(());
         }
         "mv" => {
-            ctx.need(&ops, 2)?;
-            let rd = ctx.reg(&ops[0])?;
-            let rs = ctx.reg(&ops[1])?;
-            ctx.asm.mv(rd, rs);
-            Ok(())
+            need(&ops, 2, line)?;
+            asm.mv(parse_reg(&ops[0], line)?, parse_reg(&ops[1], line)?);
+            return Ok(());
         }
-        "nop" => {
-            ctx.asm.nop();
-            Ok(())
+        "ret" => {
+            need(&ops, 0, line)?;
+            asm.ret();
+            return Ok(());
         }
-        "ecall" => {
-            ctx.asm.ecall();
-            Ok(())
-        }
-        "ebreak" => {
-            ctx.asm.i(Instr::Ebreak);
-            Ok(())
-        }
-        "fence" => {
-            ctx.asm.i(Instr::Fence);
-            Ok(())
-        }
-        "csrrw" | "csrrs" | "csrrc" => {
-            ctx.need(&ops, 3)?;
-            let rd = ctx.reg(&ops[0])?;
-            let csr = ctx.int(&ops[1])? as u16;
-            let rs1 = ctx.reg(&ops[2])?;
-            let op = match mnemonic {
-                "csrrw" => 0,
-                "csrrs" => 1,
-                _ => 2,
+        "j" => {
+            let jal = Instr::Jal {
+                rd: Reg::Zero,
+                offset: 0,
             };
-            ctx.asm.i(Instr::Csr { op, rd, rs1, csr });
-            Ok(())
+            format!("{} zero, {rest}", jal.mnemonic())
         }
         "csrr" => {
-            ctx.need(&ops, 2)?;
-            let rd = ctx.reg(&ops[0])?;
-            let csr = ctx.int(&ops[1])? as u16;
-            ctx.asm.i(Instr::Csr {
+            let csrrs = Instr::Csr {
                 op: 1,
-                rd,
+                rd: Reg::Zero,
                 rs1: Reg::Zero,
-                csr,
-            });
-            Ok(())
+                csr: 0,
+            };
+            format!("{} {rest}, zero", csrrs.mnemonic())
         }
-        other => Err(err(line, format!("unknown mnemonic `{other}`"))),
+        "sltiu" => format!("{}i {rest}", AluOp::Sltu),
+        _ => String::new(),
+    };
+    if !canonical.is_empty() {
+        let (m, args) = canonical.split_once(' ').unwrap_or((&canonical, ""));
+        return parse_instruction(m, args, asm, line);
     }
+    let protos = forms()
+        .get(mnemonic)
+        .ok_or_else(|| err(line, format!("unknown mnemonic `{mnemonic}`")))?;
+    // `jal label` links into `ra`.
+    if matches!(protos[0], Instr::Jal { .. }) && ops.len() == 1 {
+        ops.insert(0, Reg::Ra.to_string());
+    }
+    // The first form that takes these operands; else the first form's
+    // complaint.
+    let (instr, label) = protos[1..]
+        .iter()
+        .fold(fill(protos[0], &ops, line), |r, p| {
+            r.or_else(|e| fill(*p, &ops, line).map_err(|_| e))
+        })?;
+    match label {
+        Some(label) => asm.reloc(instr, &label),
+        None => asm.i(instr),
+    };
+    Ok(())
 }
 
 fn parse_directive(
@@ -919,33 +352,34 @@ fn parse_directive(
             if ops.len() != 1 {
                 return Err(err(line, ".org takes one address"));
             }
-            let addr = parse_int(&ops[0]).ok_or_else(|| err(line, "bad .org address"))? as u32;
-            *base = Some(addr);
+            *base = Some(int_in(&ops[0], 0, u32::MAX.into(), line)? as u32);
             Ok(())
         }
         ".equ" => {
             if ops.len() != 2 {
                 return Err(err(line, ".equ takes `name, value`"));
             }
-            let value = parse_int(&ops[1]).ok_or_else(|| err(line, "bad .equ value"))? as u32;
-            asm.equ(&ops[0], value);
+            asm.equ(
+                &ops[0],
+                int_in(&ops[1], i32::MIN.into(), u32::MAX.into(), line)? as u32,
+            );
             Ok(())
         }
         ".word" | ".half" | ".byte" => {
             if ops.len() < 2 {
                 return Err(err(line, format!("{directive} takes `label, v…`")));
             }
-            let label = &ops[0];
+            let (size, lo, hi) = match directive {
+                ".word" => (4, i32::MIN.into(), u32::MAX.into()),
+                ".half" => (2, -0x8000, 0xffff),
+                _ => (1, -0x80, 0xff),
+            };
             let mut bytes = Vec::new();
             for v in &ops[1..] {
-                let v = parse_int(v).ok_or_else(|| err(line, format!("bad value `{v}`")))?;
-                match directive {
-                    ".word" => bytes.extend((v as u32).to_le_bytes()),
-                    ".half" => bytes.extend((v as u16).to_le_bytes()),
-                    _ => bytes.push(v as u8),
-                }
+                let v = int_in(v, lo, hi, line)? as u32;
+                bytes.extend_from_slice(&v.to_le_bytes()[..size]);
             }
-            asm.data_bytes(label, bytes);
+            asm.data_bytes(&ops[0], bytes);
             Ok(())
         }
         other => Err(err(line, format!("unknown directive `{other}`"))),
@@ -1056,11 +490,7 @@ pub fn parse(source: &str) -> Result<Program, TextAsmError> {
             Some(i) => rest.split_at(i),
             None => (rest, ""),
         };
-        let mut ctx = LineCtx {
-            asm: &mut asm2,
-            line: line_no,
-        };
-        parse_instruction(mnemonic.trim(), args.trim(), &mut ctx)?;
+        parse_instruction(mnemonic.trim(), args.trim(), &mut asm2, line_no)?;
     }
 
     Ok(asm2.assemble()?)
@@ -1069,6 +499,10 @@ pub fn parse(source: &str) -> Result<Program, TextAsmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pulp_isa::instr::{
+        BitOp, BranchCond, LoadKind, MulDivOp, PulpAluOp, SimdAluOp, SimdOperand, StoreKind,
+    };
+    use pulp_isa::simd::{DotSign, SimdFmt};
 
     #[test]
     fn parse_basic_program() {
@@ -1179,6 +613,68 @@ mod tests {
             }
             other => panic!("expected parse error, got {other}"),
         }
+    }
+
+    /// Every `lp.*` mnemonic with no operands is a line-numbered error,
+    /// not an index panic.
+    #[test]
+    fn bare_hardware_loop_mnemonics_are_errors() {
+        for m in [
+            "lp.starti",
+            "lp.endi",
+            "lp.count",
+            "lp.counti",
+            "lp.setup",
+            "lp.setupi",
+        ] {
+            match parse(&format!("nop\n{m}\n")) {
+                Err(TextAsmError::Parse(e)) => assert_eq!(e.line, 2, "{m}: {e}"),
+                other => panic!("{m}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    /// A number its field cannot hold, or text that is not one number,
+    /// is rejected with its line, never narrowed into a different
+    /// instruction.
+    #[test]
+    fn out_of_range_operands_are_rejected() {
+        for line in [
+            "pv.add.sci.h a0, a1, 287",
+            "pv.extract.b a0, a1, 257",
+            "p.clip a0, a1, 264",
+            "csrr a0, 0x10b00",
+            "lui a0, 0x100001",
+            "p.extract a0, a1, 300, 40",
+            "lp.setupi x0, 4, 200",
+            "beq a0, a1, 5",
+            "jal ra, 3",
+            "lp.starti x0, 3",
+            "addi a0, a1, 2048",
+            "slli a0, a1, 32",
+            "lw a0, -2049(a1)",
+            "li a0, 0x100000000",
+            ".byte b, 256",
+            "addi a0, a1, --5",
+        ] {
+            match parse(&format!("nop\n{line}\n")) {
+                Err(TextAsmError::Parse(e)) => assert_eq!(e.line, 2, "`{line}`: {e}"),
+                other => panic!("`{line}`: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    /// `jal` with a label links into the register it names.
+    #[test]
+    fn jal_label_keeps_its_link_register() {
+        let p = parse("jal t0, end\nnop\nend:\necall\n").unwrap();
+        assert_eq!(
+            p.instrs[0],
+            Instr::Jal {
+                rd: Reg::T0,
+                offset: 8
+            }
+        );
     }
 
     #[test]

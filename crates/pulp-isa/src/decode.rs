@@ -1,12 +1,20 @@
-//! Binary instruction decoding — the exact inverse of [`crate::encode`].
+//! Binary instruction decoding — the exact inverse of [`crate::encode`],
+//! over the same [`crate::table`] declarations: the major opcode picks
+//! the form, the table codes pick the op in one lookup, and the operand
+//! fields unpack the rest.
 
-use crate::encode::{opcode, pulp_funct7, simd_op5};
 use crate::instr::{
     AluOp, BitOp, BranchCond, Instr, LoadKind, LoopIdx, MulDivOp, PulpAluOp, SimdAluOp,
     SimdOperand, StoreKind,
 };
 use crate::reg::Reg;
 use crate::simd::{DotSign, SimdFmt};
+use crate::table::{
+    opcode, BitfieldOp, CsrOp, Field, LoopOp, ScalarOp, SimdOp, BF_LEN, BF_OFF, B_IMM, CLIP, CSR,
+    FMT2, FUNCT10, FUNCT3, FUNCT7, I_IMM, J_IMM, LANE, LOOP_COUNT, LOOP_IDX, LOOP_OFF, MODE_IMM,
+    MODE_SCALAR, MODE_VECTOR, OP5, OPCODE, RD, REG_FORM, REG_OFFSET, RS1, RS2, RS3, SCI,
+    SETUPI_OFF, SHAMT, STRIDED, S_IMM, UNIT_STRIDE, U_IMM,
+};
 use crate::vec::{VReg, VecSew};
 use std::fmt;
 
@@ -25,523 +33,29 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-#[inline]
-fn rd(w: u32) -> Reg {
-    Reg::from_bits(w >> 7)
-}
+/// The fields of one word, unpacked on demand.
+#[derive(Clone, Copy)]
+struct Word(u32);
 
-#[inline]
-fn rs1(w: u32) -> Reg {
-    Reg::from_bits(w >> 15)
-}
-
-#[inline]
-fn rs2(w: u32) -> Reg {
-    Reg::from_bits(w >> 20)
-}
-
-#[inline]
-fn funct3(w: u32) -> u32 {
-    (w >> 12) & 0x7
-}
-
-#[inline]
-fn funct7(w: u32) -> u32 {
-    w >> 25
-}
-
-/// Sign-extended I-type immediate.
-#[inline]
-fn imm_i(w: u32) -> i32 {
-    (w as i32) >> 20
-}
-
-/// Sign-extended S-type immediate.
-#[inline]
-fn imm_s(w: u32) -> i32 {
-    (((w & 0xfe00_0000) as i32) >> 20) | (((w >> 7) & 0x1f) as i32)
-}
-
-/// Sign-extended B-type immediate (byte offset).
-#[inline]
-fn imm_b(w: u32) -> i32 {
-    (((w & 0x8000_0000) as i32) >> 19)
-        | (((w & 0x80) << 4) as i32)
-        | (((w >> 20) & 0x7e0) as i32)
-        | (((w >> 7) & 0x1e) as i32)
-}
-
-/// Sign-extended J-type immediate (byte offset).
-#[inline]
-fn imm_j(w: u32) -> i32 {
-    (((w & 0x8000_0000) as i32) >> 11)
-        | ((w & 0xf_f000) as i32)
-        | (((w >> 9) & 0x800) as i32)
-        | (((w >> 20) & 0x7fe) as i32)
-}
-
-fn load_kind(f3: u32) -> Option<LoadKind> {
-    match f3 {
-        0b000 => Some(LoadKind::Byte),
-        0b001 => Some(LoadKind::Half),
-        0b010 => Some(LoadKind::Word),
-        0b100 => Some(LoadKind::ByteU),
-        0b101 => Some(LoadKind::HalfU),
-        _ => None,
+impl Word {
+    #[inline(always)]
+    fn code(self, f: &Field) -> u32 {
+        f.unpack(self.0) as u32
     }
-}
 
-fn load_kind_from_code(code: u32) -> Option<LoadKind> {
-    match code {
-        0 => Some(LoadKind::Byte),
-        1 => Some(LoadKind::Half),
-        2 => Some(LoadKind::Word),
-        3 => Some(LoadKind::ByteU),
-        4 => Some(LoadKind::HalfU),
-        _ => None,
+    #[inline(always)]
+    fn imm(self, f: &Field) -> i32 {
+        f.unpack(self.0) as i32
     }
-}
 
-fn store_kind(f3: u32) -> Option<StoreKind> {
-    match f3 {
-        0b000 => Some(StoreKind::Byte),
-        0b001 => Some(StoreKind::Half),
-        0b010 => Some(StoreKind::Word),
-        _ => None,
+    #[inline(always)]
+    fn reg(self, f: &Field) -> Reg {
+        Reg::from_bits(self.code(f))
     }
-}
 
-fn branch_cond(f3: u32) -> Option<BranchCond> {
-    match f3 {
-        0b000 => Some(BranchCond::Eq),
-        0b001 => Some(BranchCond::Ne),
-        0b100 => Some(BranchCond::Lt),
-        0b101 => Some(BranchCond::Ge),
-        0b110 => Some(BranchCond::Ltu),
-        0b111 => Some(BranchCond::Geu),
-        _ => None,
-    }
-}
-
-fn simd_fmt(bits: u32) -> SimdFmt {
-    match bits & 0b11 {
-        0b00 => SimdFmt::Half,
-        0b01 => SimdFmt::Byte,
-        0b10 => SimdFmt::Nibble,
-        _ => SimdFmt::Crumb,
-    }
-}
-
-/// Decodes the Xrvv vector ops sharing [`opcode::PULP_SIMD`] at
-/// `op5 >= 26` (the packed-SIMD `mode3` grammar does not apply there).
-fn decode_vector_op(w: u32) -> Result<Instr, DecodeError> {
-    let op5 = w >> 27;
-    let mode3 = funct3(w);
-    let vs2 = VReg::from_bits(w >> 20);
-    match op5 {
-        simd_op5::VSETVLI if mode3 == 0 && (w >> 20) & 0x1f == 0 => Ok(Instr::VSetvli {
-            rd: rd(w),
-            rs1: rs1(w),
-            sew: VecSew::from_code(w >> 25),
-        }),
-        simd_op5::VDOT if (w >> 25) & 0b11 == 0 => {
-            let sign = match mode3 {
-                0 => DotSign::UnsignedUnsigned,
-                1 => DotSign::UnsignedSigned,
-                2 => DotSign::SignedSigned,
-                _ => return Err(DecodeError { word: w }),
-            };
-            Ok(Instr::VDot {
-                sign,
-                rd: rd(w),
-                vs1: VReg::from_bits(w >> 15),
-                vs2,
-            })
-        }
-        simd_op5::VQNT if mode3 == 0 => {
-            let fmt = simd_fmt(w >> 25);
-            if !fmt.is_sub_byte() {
-                return Err(DecodeError { word: w });
-            }
-            Ok(Instr::VQnt {
-                fmt,
-                vd: VReg::from_bits(w >> 7),
-                rs1: rs1(w),
-                vs2,
-            })
-        }
-        simd_op5::VSLIDE1 if mode3 == 0 && (w >> 25) & 0b11 == 0 => Ok(Instr::VSlide1 {
-            vd: VReg::from_bits(w >> 7),
-            vs2,
-            rs1: rs1(w),
-        }),
-        simd_op5::VMVXS if mode3 == 0 && (w >> 25) & 0b11 == 0 && (w >> 15) & 0x1f == 0 => {
-            Ok(Instr::VMvXS { rd: rd(w), vs2 })
-        }
-        _ => Err(DecodeError { word: w }),
-    }
-}
-
-/// Decodes the Xrvv vector loads/stores at [`opcode::VEC_LOAD`] /
-/// [`opcode::VEC_STORE`].
-fn decode_vector_mem(w: u32, is_store: bool) -> Result<Instr, DecodeError> {
-    if funct7(w) != 0 {
-        return Err(DecodeError { word: w });
-    }
-    let v = VReg::from_bits(w >> 7);
-    let a = rs1(w);
-    let b = rs2(w);
-    match (funct3(w), is_store) {
-        (0b000, false) if (w >> 20) & 0x1f == 0 => Ok(Instr::VLoad { vd: v, rs1: a }),
-        (0b010, false) => Ok(Instr::VLoadStrided {
-            vd: v,
-            rs1: a,
-            rs2: b,
-        }),
-        (0b000, true) if (w >> 20) & 0x1f == 0 => Ok(Instr::VStore { vs: v, rs1: a }),
-        (0b010, true) => Ok(Instr::VStoreStrided {
-            vs: v,
-            rs1: a,
-            rs2: b,
-        }),
-        _ => Err(DecodeError { word: w }),
-    }
-}
-
-fn decode_simd(w: u32) -> Result<Instr, DecodeError> {
-    let op5 = w >> 27;
-    if op5 >= simd_op5::VSETVLI {
-        return decode_vector_op(w);
-    }
-    let fmt = simd_fmt(w >> 25);
-    let r = rd(w);
-    let a = rs1(w);
-    let mode3 = funct3(w);
-    let rs2_field = (w >> 20) & 0x1f;
-
-    let op2 = match mode3 {
-        0b000 => SimdOperand::Vector(Reg::from_bits(rs2_field)),
-        0b100 => SimdOperand::Scalar(Reg::from_bits(rs2_field)),
-        0b110 | 0b111 => {
-            if fmt.is_sub_byte() {
-                // The .sci variant is not part of the sub-byte encoding
-                // space (§III-A of the paper).
-                return Err(DecodeError { word: w });
-            }
-            let raw = ((mode3 & 1) << 5) | rs2_field;
-            // Sign-extend 6-bit immediate.
-            SimdOperand::Imm(((raw << 2) as i8) >> 2)
-        }
-        _ => return Err(DecodeError { word: w }),
-    };
-
-    let alu = |op: SimdAluOp| -> Result<Instr, DecodeError> {
-        Ok(Instr::PvAlu {
-            op,
-            fmt,
-            rd: r,
-            rs1: a,
-            op2,
-        })
-    };
-    let dot = |sign: DotSign, acc: bool| -> Result<Instr, DecodeError> {
-        if acc {
-            Ok(Instr::PvSdot {
-                fmt,
-                sign,
-                rd: r,
-                rs1: a,
-                op2,
-            })
-        } else {
-            Ok(Instr::PvDot {
-                fmt,
-                sign,
-                rd: r,
-                rs1: a,
-                op2,
-            })
-        }
-    };
-    // Operations that only exist in register-register form.
-    let rr_only = mode3 == 0b000;
-    // Lane-indexed operations reject indices beyond the format's lanes.
-    let lane_ok = (rs2_field as usize) < fmt.lanes();
-
-    match op5 {
-        simd_op5::ADD => alu(SimdAluOp::Add),
-        simd_op5::SUB => alu(SimdAluOp::Sub),
-        simd_op5::AVG => alu(SimdAluOp::Avg),
-        simd_op5::AVGU => alu(SimdAluOp::Avgu),
-        simd_op5::MIN => alu(SimdAluOp::Min),
-        simd_op5::MINU => alu(SimdAluOp::Minu),
-        simd_op5::MAX => alu(SimdAluOp::Max),
-        simd_op5::MAXU => alu(SimdAluOp::Maxu),
-        simd_op5::SRL => alu(SimdAluOp::Srl),
-        simd_op5::SRA => alu(SimdAluOp::Sra),
-        simd_op5::SLL => alu(SimdAluOp::Sll),
-        simd_op5::OR => alu(SimdAluOp::Or),
-        simd_op5::AND => alu(SimdAluOp::And),
-        simd_op5::XOR => alu(SimdAluOp::Xor),
-        simd_op5::ABS if rr_only => Ok(Instr::PvAbs { fmt, rd: r, rs1: a }),
-        simd_op5::EXTRACT if rr_only && lane_ok => Ok(Instr::PvExtract {
-            fmt,
-            rd: r,
-            rs1: a,
-            idx: rs2_field as u8,
-            signed: true,
-        }),
-        simd_op5::EXTRACTU if rr_only && lane_ok => Ok(Instr::PvExtract {
-            fmt,
-            rd: r,
-            rs1: a,
-            idx: rs2_field as u8,
-            signed: false,
-        }),
-        simd_op5::INSERT if rr_only && lane_ok => Ok(Instr::PvInsert {
-            fmt,
-            rd: r,
-            rs1: a,
-            idx: rs2_field as u8,
-        }),
-        simd_op5::DOTUP => dot(DotSign::UnsignedUnsigned, false),
-        simd_op5::DOTUSP => dot(DotSign::UnsignedSigned, false),
-        simd_op5::DOTSP => dot(DotSign::SignedSigned, false),
-        simd_op5::SDOTUP => dot(DotSign::UnsignedUnsigned, true),
-        simd_op5::SDOTUSP => dot(DotSign::UnsignedSigned, true),
-        simd_op5::SDOTSP => dot(DotSign::SignedSigned, true),
-        simd_op5::QNT if rr_only && fmt.is_sub_byte() => Ok(Instr::PvQnt {
-            fmt,
-            rd: r,
-            rs1: a,
-            rs2: Reg::from_bits(rs2_field),
-        }),
-        simd_op5::SHUFFLE2 if rr_only && !fmt.is_sub_byte() => Ok(Instr::PvShuffle2 {
-            fmt,
-            rd: r,
-            rs1: a,
-            rs2: Reg::from_bits(rs2_field),
-        }),
-        _ => Err(DecodeError { word: w }),
-    }
-}
-
-fn decode_op(w: u32) -> Result<Instr, DecodeError> {
-    let f3 = funct3(w);
-    let f7 = funct7(w);
-    let (r, a, b) = (rd(w), rs1(w), rs2(w));
-    match f7 {
-        0x00 | 0x20 => {
-            let op = match (f3, f7) {
-                (0b000, 0x00) => AluOp::Add,
-                (0b000, 0x20) => AluOp::Sub,
-                (0b001, 0x00) => AluOp::Sll,
-                (0b010, 0x00) => AluOp::Slt,
-                (0b011, 0x00) => AluOp::Sltu,
-                (0b100, 0x00) => AluOp::Xor,
-                (0b101, 0x00) => AluOp::Srl,
-                (0b101, 0x20) => AluOp::Sra,
-                (0b110, 0x00) => AluOp::Or,
-                (0b111, 0x00) => AluOp::And,
-                _ => return Err(DecodeError { word: w }),
-            };
-            Ok(Instr::Alu {
-                op,
-                rd: r,
-                rs1: a,
-                rs2: b,
-            })
-        }
-        0x01 => {
-            let op = match f3 {
-                0b000 => MulDivOp::Mul,
-                0b001 => MulDivOp::Mulh,
-                0b010 => MulDivOp::Mulhsu,
-                0b011 => MulDivOp::Mulhu,
-                0b100 => MulDivOp::Div,
-                0b101 => MulDivOp::Divu,
-                0b110 => MulDivOp::Rem,
-                _ => MulDivOp::Remu,
-            };
-            Ok(Instr::MulDiv {
-                op,
-                rd: r,
-                rs1: a,
-                rs2: b,
-            })
-        }
-        pulp_funct7::ALU_A => match f3 {
-            0 => Ok(Instr::PulpAlu {
-                op: PulpAluOp::Min,
-                rd: r,
-                rs1: a,
-                rs2: b,
-            }),
-            1 => Ok(Instr::PulpAlu {
-                op: PulpAluOp::Minu,
-                rd: r,
-                rs1: a,
-                rs2: b,
-            }),
-            2 => Ok(Instr::PulpAlu {
-                op: PulpAluOp::Max,
-                rd: r,
-                rs1: a,
-                rs2: b,
-            }),
-            3 => Ok(Instr::PulpAlu {
-                op: PulpAluOp::Maxu,
-                rd: r,
-                rs1: a,
-                rs2: b,
-            }),
-            4 => Ok(Instr::PulpAlu {
-                op: PulpAluOp::Abs,
-                rd: r,
-                rs1: a,
-                rs2: b,
-            }),
-            5 => Ok(Instr::PClip {
-                rd: r,
-                rs1: a,
-                bits: ((w >> 20) & 0x1f) as u8,
-            }),
-            6 => Ok(Instr::PClipU {
-                rd: r,
-                rs1: a,
-                bits: ((w >> 20) & 0x1f) as u8,
-            }),
-            _ => Err(DecodeError { word: w }),
-        },
-        pulp_funct7::ALU_B => match f3 {
-            0 => Ok(Instr::PMac {
-                rd: r,
-                rs1: a,
-                rs2: b,
-            }),
-            1 => Ok(Instr::PMsu {
-                rd: r,
-                rs1: a,
-                rs2: b,
-            }),
-            2 => Ok(Instr::PBit {
-                op: BitOp::Ff1,
-                rd: r,
-                rs1: a,
-            }),
-            3 => Ok(Instr::PBit {
-                op: BitOp::Fl1,
-                rd: r,
-                rs1: a,
-            }),
-            4 => Ok(Instr::PBit {
-                op: BitOp::Cnt,
-                rd: r,
-                rs1: a,
-            }),
-            5 => Ok(Instr::PBit {
-                op: BitOp::Clb,
-                rd: r,
-                rs1: a,
-            }),
-            6 => Ok(Instr::PulpAlu {
-                op: PulpAluOp::Exths,
-                rd: r,
-                rs1: a,
-                rs2: b,
-            }),
-            _ => Ok(Instr::PulpAlu {
-                op: PulpAluOp::Exthz,
-                rd: r,
-                rs1: a,
-                rs2: b,
-            }),
-        },
-        pulp_funct7::ALU_C => match f3 {
-            0 => Ok(Instr::PulpAlu {
-                op: PulpAluOp::Extbs,
-                rd: r,
-                rs1: a,
-                rs2: b,
-            }),
-            1 => Ok(Instr::PulpAlu {
-                op: PulpAluOp::Extbz,
-                rd: r,
-                rs1: a,
-                rs2: b,
-            }),
-            _ => Err(DecodeError { word: w }),
-        },
-        _ => Err(DecodeError { word: w }),
-    }
-}
-
-fn decode_op_imm(w: u32) -> Result<Instr, DecodeError> {
-    if w == 0x0000_0013 {
-        return Ok(Instr::Nop);
-    }
-    let f3 = funct3(w);
-    let (r, a) = (rd(w), rs1(w));
-    let op = match f3 {
-        0b000 => AluOp::Add,
-        0b001 => AluOp::Sll,
-        0b010 => AluOp::Slt,
-        0b011 => AluOp::Sltu,
-        0b100 => AluOp::Xor,
-        0b101 => {
-            if funct7(w) == 0x20 {
-                AluOp::Sra
-            } else if funct7(w) == 0x00 {
-                AluOp::Srl
-            } else {
-                return Err(DecodeError { word: w });
-            }
-        }
-        0b110 => AluOp::Or,
-        _ => AluOp::And,
-    };
-    let imm = match op {
-        AluOp::Sll | AluOp::Srl | AluOp::Sra => ((w >> 20) & 0x1f) as i32,
-        _ => imm_i(w),
-    };
-    if matches!(op, AluOp::Sll) && funct7(w) != 0 {
-        return Err(DecodeError { word: w });
-    }
-    Ok(Instr::AluImm {
-        op,
-        rd: r,
-        rs1: a,
-        imm,
-    })
-}
-
-fn decode_hwloop(w: u32) -> Result<Instr, DecodeError> {
-    let l = LoopIdx::from_bit(w >> 7);
-    match funct3(w) {
-        0 => Ok(Instr::LpStarti {
-            l,
-            offset: imm_i(w) << 1,
-        }),
-        1 => Ok(Instr::LpEndi {
-            l,
-            offset: imm_i(w) << 1,
-        }),
-        2 => Ok(Instr::LpCount { l, rs1: rs1(w) }),
-        3 => Ok(Instr::LpCounti {
-            l,
-            imm: ((w >> 20) & 0xfff),
-        }),
-        4 => Ok(Instr::LpSetup {
-            l,
-            rs1: rs1(w),
-            offset: imm_i(w) << 1,
-        }),
-        5 => Ok(Instr::LpSetupi {
-            l,
-            imm: (w >> 20) & 0xfff,
-            offset: (((w >> 15) & 0x1f) << 1) as i32,
-        }),
-        _ => Err(DecodeError { word: w }),
+    #[inline(always)]
+    fn vreg(self, f: &Field) -> VReg {
+        VReg::from_bits(self.code(f))
     }
 }
 
@@ -552,163 +66,389 @@ fn decode_hwloop(w: u32) -> Result<Instr, DecodeError> {
 /// Returns [`DecodeError`] when the word does not correspond to any
 /// instruction this core implements — the simulator raises an
 /// illegal-instruction trap in that case.
-pub fn decode(w: u32) -> Result<Instr, DecodeError> {
-    match w & 0x7f {
-        opcode::LUI => Ok(Instr::Lui {
-            rd: rd(w),
-            imm: w & 0xffff_f000,
-        }),
-        opcode::AUIPC => Ok(Instr::Auipc {
-            rd: rd(w),
-            imm: w & 0xffff_f000,
-        }),
-        opcode::JAL => Ok(Instr::Jal {
-            rd: rd(w),
-            offset: imm_j(w),
-        }),
-        opcode::JALR => {
-            if funct3(w) != 0 {
-                return Err(DecodeError { word: w });
-            }
-            Ok(Instr::Jalr {
-                rd: rd(w),
-                rs1: rs1(w),
-                offset: imm_i(w),
-            })
-        }
-        opcode::BRANCH => {
-            let cond = branch_cond(funct3(w)).ok_or(DecodeError { word: w })?;
-            Ok(Instr::Branch {
-                cond,
-                rs1: rs1(w),
-                rs2: rs2(w),
-                offset: imm_b(w),
-            })
-        }
-        opcode::LOAD => {
-            let kind = load_kind(funct3(w)).ok_or(DecodeError { word: w })?;
-            Ok(Instr::Load {
-                kind,
-                rd: rd(w),
-                rs1: rs1(w),
-                offset: imm_i(w),
-            })
-        }
-        opcode::STORE => {
-            let kind = store_kind(funct3(w)).ok_or(DecodeError { word: w })?;
-            Ok(Instr::Store {
-                kind,
-                rs1: rs1(w),
-                rs2: rs2(w),
-                offset: imm_s(w),
-            })
-        }
-        opcode::OP_IMM => decode_op_imm(w),
-        opcode::OP => decode_op(w),
-        opcode::MISC_MEM => Ok(Instr::Fence),
-        opcode::SYSTEM => match funct3(w) {
-            0 => match w >> 20 {
-                0 => Ok(Instr::Ecall),
-                1 => Ok(Instr::Ebreak),
-                _ => Err(DecodeError { word: w }),
-            },
-            f3 @ 1..=3 => Ok(Instr::Csr {
-                op: (f3 - 1) as u8,
-                rd: rd(w),
-                rs1: rs1(w),
-                csr: (w >> 20) as u16,
-            }),
-            _ => Err(DecodeError { word: w }),
+pub fn decode(word: u32) -> Result<Instr, DecodeError> {
+    use opcode::*;
+    let err = DecodeError { word };
+    let w = Word(word);
+    let f3 = w.code(&FUNCT3);
+    // Each arm reads the fields it uses: the interpreter decodes on
+    // every step, and fields read ahead of the dispatch cost every word.
+    Ok(match w.code(&OPCODE) {
+        LUI => Instr::Lui {
+            rd: w.reg(&RD),
+            imm: w.code(&U_IMM),
         },
-        opcode::PULP_LOAD => {
-            let f3 = funct3(w);
-            if f3 == 0b111 {
-                let f7 = funct7(w);
-                let kind = load_kind_from_code(f7 & 0x7).ok_or(DecodeError { word: w })?;
-                if f7 & 0x08 == 0 {
-                    Ok(Instr::LoadPostIncReg {
-                        kind,
-                        rd: rd(w),
-                        rs1: rs1(w),
-                        rs2: rs2(w),
-                    })
-                } else {
-                    Ok(Instr::LoadRegOff {
-                        kind,
-                        rd: rd(w),
-                        rs1: rs1(w),
-                        rs2: rs2(w),
-                    })
+        AUIPC => Instr::Auipc {
+            rd: w.reg(&RD),
+            imm: w.code(&U_IMM),
+        },
+        JAL => Instr::Jal {
+            rd: w.reg(&RD),
+            offset: w.imm(&J_IMM),
+        },
+        JALR if f3 == 0 => Instr::Jalr {
+            rd: w.reg(&RD),
+            rs1: w.reg(&RS1),
+            offset: w.imm(&I_IMM),
+        },
+        BRANCH => Instr::Branch {
+            cond: BranchCond::from_code(f3).ok_or(err)?,
+            rs1: w.reg(&RS1),
+            rs2: w.reg(&RS2),
+            offset: w.imm(&B_IMM),
+        },
+        LOAD => Instr::Load {
+            kind: LoadKind::from_code(f3).ok_or(err)?,
+            rd: w.reg(&RD),
+            rs1: w.reg(&RS1),
+            offset: w.imm(&I_IMM),
+        },
+        STORE => Instr::Store {
+            kind: StoreKind::from_code(f3).ok_or(err)?,
+            rs1: w.reg(&RS1),
+            rs2: w.reg(&RS2),
+            offset: w.imm(&S_IMM),
+        },
+        OP_IMM if word == OP_IMM => Instr::Nop,
+        OP_IMM => {
+            // funct3 alone names the op, except for the shifts, whose
+            // funct7 is part of the code.
+            let op = AluOp::from_code(f3).ok_or(err)?;
+            let (op, imm) = if op.is_shift() {
+                (
+                    AluOp::from_code(w.code(&FUNCT10)).ok_or(err)?,
+                    w.imm(&SHAMT),
+                )
+            } else {
+                (op, w.imm(&I_IMM))
+            };
+            Instr::AluImm {
+                op,
+                rd: w.reg(&RD),
+                rs1: w.reg(&RS1),
+                imm,
+            }
+        }
+        OP => decode_op(w, err)?,
+        MISC_MEM => Instr::Fence,
+        SYSTEM if f3 == 0 => match w.code(&CSR) {
+            0 => Instr::Ecall,
+            1 => Instr::Ebreak,
+            _ => return Err(err),
+        },
+        SYSTEM => Instr::Csr {
+            op: CsrOp::from_code(f3).ok_or(err)? as u8,
+            rd: w.reg(&RD),
+            rs1: w.reg(&RS1),
+            csr: w.code(&CSR) as u16,
+        },
+        PULP_LOAD if f3 == REG_FORM => {
+            // funct7[2:0] is the row of `LoadKind::ALL`; bits 6:4 are
+            // ignored.
+            let f7 = w.code(&FUNCT7);
+            let kind = *LoadKind::ALL.get((f7 & 7) as usize).ok_or(err)?;
+            if f7 & REG_OFFSET == 0 {
+                Instr::LoadPostIncReg {
+                    kind,
+                    rd: w.reg(&RD),
+                    rs1: w.reg(&RS1),
+                    rs2: w.reg(&RS2),
                 }
             } else {
-                let kind = load_kind(f3).ok_or(DecodeError { word: w })?;
-                Ok(Instr::LoadPostInc {
+                Instr::LoadRegOff {
                     kind,
-                    rd: rd(w),
-                    rs1: rs1(w),
-                    offset: imm_i(w),
-                })
+                    rd: w.reg(&RD),
+                    rs1: w.reg(&RS1),
+                    rs2: w.reg(&RS2),
+                }
             }
         }
-        opcode::PULP_STORE => {
-            let f3 = funct3(w);
-            if f3 == 0b111 {
-                let f7 = funct7(w);
-                let kind = store_kind(f7 & 0x3).ok_or(DecodeError { word: w })?;
-                Ok(Instr::StorePostIncReg {
-                    kind,
-                    rs1: rs1(w),
-                    rs2: rs2(w),
-                    rs3: Reg::from_bits(f7 >> 2),
-                })
-            } else {
-                let kind = store_kind(f3).ok_or(DecodeError { word: w })?;
-                Ok(Instr::StorePostInc {
-                    kind,
-                    rs1: rs1(w),
-                    rs2: rs2(w),
-                    offset: imm_s(w),
-                })
+        PULP_LOAD => Instr::LoadPostInc {
+            kind: LoadKind::from_code(f3).ok_or(err)?,
+            rd: w.reg(&RD),
+            rs1: w.reg(&RS1),
+            offset: w.imm(&I_IMM),
+        },
+        PULP_STORE if f3 == REG_FORM => Instr::StorePostIncReg {
+            kind: StoreKind::from_code(w.code(&FUNCT7) & 3).ok_or(err)?,
+            rs1: w.reg(&RS1),
+            rs2: w.reg(&RS2),
+            rs3: w.reg(&RS3),
+        },
+        PULP_STORE => Instr::StorePostInc {
+            kind: StoreKind::from_code(f3).ok_or(err)?,
+            rs1: w.reg(&RS1),
+            rs2: w.reg(&RS2),
+            offset: w.imm(&S_IMM),
+        },
+        PULP_BITFIELD => {
+            let (len, off) = (w.code(&BF_LEN) as u8, w.code(&BF_OFF) as u8);
+            match BitfieldOp::from_code(f3).ok_or(err)? {
+                BitfieldOp::Extract => Instr::PExtract {
+                    rd: w.reg(&RD),
+                    rs1: w.reg(&RS1),
+                    len,
+                    off,
+                },
+                BitfieldOp::ExtractU => Instr::PExtractU {
+                    rd: w.reg(&RD),
+                    rs1: w.reg(&RS1),
+                    len,
+                    off,
+                },
+                BitfieldOp::Insert => Instr::PInsert {
+                    rd: w.reg(&RD),
+                    rs1: w.reg(&RS1),
+                    len,
+                    off,
+                },
             }
         }
-        opcode::PULP_BITFIELD => {
-            let len = (((w >> 25) & 0x1f) + 1) as u8;
-            let off = ((w >> 20) & 0x1f) as u8;
-            match funct3(w) {
-                0 => Ok(Instr::PExtract {
-                    rd: rd(w),
-                    rs1: rs1(w),
-                    len,
-                    off,
-                }),
-                1 => Ok(Instr::PExtractU {
-                    rd: rd(w),
-                    rs1: rs1(w),
-                    len,
-                    off,
-                }),
-                2 => Ok(Instr::PInsert {
-                    rd: rd(w),
-                    rs1: rs1(w),
-                    len,
-                    off,
-                }),
-                _ => Err(DecodeError { word: w }),
+        PULP_HWLOOP => {
+            let l = LoopIdx::from_bit(w.code(&LOOP_IDX));
+            let (offset, imm) = (w.imm(&LOOP_OFF), w.code(&LOOP_COUNT));
+            match LoopOp::from_code(f3).ok_or(err)? {
+                LoopOp::Starti => Instr::LpStarti { l, offset },
+                LoopOp::Endi => Instr::LpEndi { l, offset },
+                LoopOp::Count => Instr::LpCount {
+                    l,
+                    rs1: w.reg(&RS1),
+                },
+                LoopOp::Counti => Instr::LpCounti { l, imm },
+                LoopOp::Setup => Instr::LpSetup {
+                    l,
+                    rs1: w.reg(&RS1),
+                    offset,
+                },
+                LoopOp::Setupi => Instr::LpSetupi {
+                    l,
+                    imm,
+                    offset: w.imm(&SETUPI_OFF),
+                },
             }
         }
-        opcode::PULP_HWLOOP => decode_hwloop(w),
-        opcode::PULP_SIMD => decode_simd(w),
-        opcode::VEC_LOAD => decode_vector_mem(w, false),
-        opcode::VEC_STORE => decode_vector_mem(w, true),
-        _ => Err(DecodeError { word: w }),
+        PULP_SIMD => decode_simd(w, err)?,
+        major @ (VEC_LOAD | VEC_STORE) if w.code(&FUNCT7) == 0 => {
+            let v = w.vreg(&RD);
+            let unit = w.reg(&RS2) == Reg::Zero;
+            match (major, f3) {
+                (VEC_LOAD, UNIT_STRIDE) if unit => Instr::VLoad {
+                    vd: v,
+                    rs1: w.reg(&RS1),
+                },
+                (VEC_LOAD, STRIDED) => Instr::VLoadStrided {
+                    vd: v,
+                    rs1: w.reg(&RS1),
+                    rs2: w.reg(&RS2),
+                },
+                (VEC_STORE, UNIT_STRIDE) if unit => Instr::VStore {
+                    vs: v,
+                    rs1: w.reg(&RS1),
+                },
+                (VEC_STORE, STRIDED) => Instr::VStoreStrided {
+                    vs: v,
+                    rs1: w.reg(&RS1),
+                    rs2: w.reg(&RS2),
+                },
+                _ => return Err(err),
+            }
+        }
+        _ => return Err(err),
+    })
+}
+
+/// What a `funct7_funct3` code names under the `OP` major opcode.
+#[derive(Clone, Copy)]
+enum OpCode {
+    Unassigned,
+    Alu(AluOp),
+    MulDiv(MulDivOp),
+    Pulp(PulpAluOp),
+    Bit(BitOp),
+    Scalar(ScalarOp),
+}
+
+/// The five tables that live under `OP`, merged into one array indexed
+/// by the code.
+const OP_CODES: [OpCode; 1 << 10] = {
+    let mut t = [OpCode::Unassigned; 1 << 10];
+    let mut i = 0;
+    while i < AluOp::ALL.len() {
+        t[AluOp::ALL[i].code() as usize] = OpCode::Alu(AluOp::ALL[i]);
+        i += 1;
     }
+    let mut i = 0;
+    while i < MulDivOp::ALL.len() {
+        t[MulDivOp::ALL[i].code() as usize] = OpCode::MulDiv(MulDivOp::ALL[i]);
+        i += 1;
+    }
+    let mut i = 0;
+    while i < PulpAluOp::ALL.len() {
+        t[PulpAluOp::ALL[i].code() as usize] = OpCode::Pulp(PulpAluOp::ALL[i]);
+        i += 1;
+    }
+    let mut i = 0;
+    while i < BitOp::ALL.len() {
+        t[BitOp::ALL[i].code() as usize] = OpCode::Bit(BitOp::ALL[i]);
+        i += 1;
+    }
+    let mut i = 0;
+    while i < ScalarOp::ALL.len() {
+        t[ScalarOp::ALL[i].code() as usize] = OpCode::Scalar(ScalarOp::ALL[i]);
+        i += 1;
+    }
+    t
+};
+
+/// The `OP` major opcode: one lookup of the `funct7_funct3` code.
+fn decode_op(w: Word, err: DecodeError) -> Result<Instr, DecodeError> {
+    let (rd, rs1, rs2) = (w.reg(&RD), w.reg(&RS1), w.reg(&RS2));
+    let bits = w.code(&CLIP) as u8;
+    Ok(match OP_CODES[w.code(&FUNCT10) as usize] {
+        OpCode::Alu(op) => Instr::Alu { op, rd, rs1, rs2 },
+        OpCode::MulDiv(op) => Instr::MulDiv { op, rd, rs1, rs2 },
+        OpCode::Pulp(op) => Instr::PulpAlu { op, rd, rs1, rs2 },
+        OpCode::Bit(op) => Instr::PBit { op, rd, rs1 },
+        OpCode::Scalar(ScalarOp::Clip) => Instr::PClip { rd, rs1, bits },
+        OpCode::Scalar(ScalarOp::ClipU) => Instr::PClipU { rd, rs1, bits },
+        OpCode::Scalar(ScalarOp::Mac) => Instr::PMac { rd, rs1, rs2 },
+        OpCode::Scalar(ScalarOp::Msu) => Instr::PMsu { rd, rs1, rs2 },
+        OpCode::Unassigned => return Err(err),
+    })
+}
+
+/// What an op5 value names under `PULP_SIMD`.
+#[derive(Clone, Copy)]
+enum Op5 {
+    Unassigned,
+    Alu(SimdAluOp),
+    Dot(DotSign),
+    Sdot(DotSign),
+    Other(SimdOp),
+}
+
+/// [`SimdAluOp`], [`SimdOp`] and the two [`DotSign`]-indexed dot
+/// families, merged into one array indexed by op5.
+const OP5_CODES: [Op5; 1 << 5] = {
+    let mut t = [Op5::Unassigned; 1 << 5];
+    let mut i = 0;
+    while i < SimdAluOp::ALL.len() {
+        t[SimdAluOp::ALL[i].code() as usize] = Op5::Alu(SimdAluOp::ALL[i]);
+        i += 1;
+    }
+    let mut i = 0;
+    while i < SimdOp::ALL.len() {
+        t[SimdOp::ALL[i].code() as usize] = Op5::Other(SimdOp::ALL[i]);
+        i += 1;
+    }
+    let mut i = 0;
+    while i < DotSign::ALL.len() {
+        let sign = DotSign::ALL[i];
+        t[(SimdOp::Dot.code() + sign.code()) as usize] = Op5::Dot(sign);
+        t[(SimdOp::Sdot.code() + sign.code()) as usize] = Op5::Sdot(sign);
+        i += 1;
+    }
+    t
+};
+
+/// The `PULP_SIMD` major opcode: packed SIMD below `vsetvli`'s op5,
+/// the Xrvv vector ops from there on.
+fn decode_simd(w: Word, err: DecodeError) -> Result<Instr, DecodeError> {
+    let (rd, rs1, rs2) = (w.reg(&RD), w.reg(&RS1), w.reg(&RS2));
+    let (op5, fmt2, mode3) = (w.code(&OP5), w.code(&FMT2), w.code(&FUNCT3));
+    let fmt = SimdFmt::from_code(fmt2).ok_or(err)?;
+    let op = OP5_CODES[op5 as usize];
+    if op5 >= SimdOp::Vsetvli.code() {
+        // The packed-SIMD mode3 grammar does not apply here.
+        let (vd, vs1, vs2) = (w.vreg(&RD), w.vreg(&RS1), w.vreg(&RS2));
+        return Ok(match op {
+            Op5::Other(SimdOp::Vsetvli) if mode3 == 0 && rs2 == Reg::Zero => Instr::VSetvli {
+                rd,
+                rs1,
+                sew: VecSew::from_code(fmt2).ok_or(err)?,
+            },
+            Op5::Other(SimdOp::Vdot) if fmt2 == 0 => Instr::VDot {
+                sign: DotSign::from_code(mode3).ok_or(err)?,
+                rd,
+                vs1,
+                vs2,
+            },
+            Op5::Other(SimdOp::Vqnt) if mode3 == 0 && fmt.is_sub_byte() => {
+                Instr::VQnt { fmt, vd, rs1, vs2 }
+            }
+            Op5::Other(SimdOp::Vslide1down) if mode3 == 0 && fmt2 == 0 => {
+                Instr::VSlide1 { vd, vs2, rs1 }
+            }
+            Op5::Other(SimdOp::VmvXS) if mode3 == 0 && fmt2 == 0 && rs1 == Reg::Zero => {
+                Instr::VMvXS { rd, vs2 }
+            }
+            _ => return Err(err),
+        });
+    }
+    let op2 = match mode3 {
+        MODE_VECTOR => SimdOperand::Vector(rs2),
+        MODE_SCALAR => SimdOperand::Scalar(rs2),
+        // The .sci variant is not part of the sub-byte encoding space
+        // (§III-A of the paper).
+        m if m & !1 == MODE_IMM && !fmt.is_sub_byte() => SimdOperand::Imm(w.imm(&SCI) as i8),
+        _ => return Err(err),
+    };
+    // The remaining ops exist only in register-register form, and the
+    // lane-indexed ones only for a lane the format has.
+    let rr = mode3 == MODE_VECTOR;
+    let idx = w.code(&LANE) as u8;
+    let lane = || rr && usize::from(idx) < fmt.lanes();
+    Ok(match op {
+        Op5::Alu(op) => Instr::PvAlu {
+            op,
+            fmt,
+            rd,
+            rs1,
+            op2,
+        },
+        Op5::Dot(sign) => Instr::PvDot {
+            fmt,
+            sign,
+            rd,
+            rs1,
+            op2,
+        },
+        Op5::Sdot(sign) => Instr::PvSdot {
+            fmt,
+            sign,
+            rd,
+            rs1,
+            op2,
+        },
+        Op5::Other(SimdOp::Abs) if rr => Instr::PvAbs { fmt, rd, rs1 },
+        Op5::Other(SimdOp::Extract) if lane() => Instr::PvExtract {
+            fmt,
+            rd,
+            rs1,
+            idx,
+            signed: true,
+        },
+        Op5::Other(SimdOp::ExtractU) if lane() => Instr::PvExtract {
+            fmt,
+            rd,
+            rs1,
+            idx,
+            signed: false,
+        },
+        Op5::Other(SimdOp::Insert) if lane() => Instr::PvInsert { fmt, rd, rs1, idx },
+        Op5::Other(SimdOp::Qnt) if rr && fmt.is_sub_byte() => Instr::PvQnt { fmt, rd, rs1, rs2 },
+        Op5::Other(SimdOp::Shuffle2) if rr && !fmt.is_sub_byte() => {
+            Instr::PvShuffle2 { fmt, rd, rs1, rs2 }
+        }
+        _ => return Err(err),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encode::encode;
-    use crate::instr::{LoopIdx, SimdOperand};
+    use crate::table::{opcode, SimdOp};
 
     fn round_trip(i: Instr) {
         let w = encode(&i);
@@ -1078,10 +818,11 @@ mod tests {
         use crate::encode::encode;
         use crate::vec::VReg;
         // vqnt with a byte format is not decodable.
-        let w = (simd_op5::VQNT << 27) | (0b01 << 25) | (1 << 15) | (2 << 7) | opcode::PULP_SIMD;
+        let w =
+            (SimdOp::Vqnt.code() << 27) | (0b01 << 25) | (1 << 15) | (2 << 7) | opcode::PULP_SIMD;
         assert!(decode(w).is_err());
         // vdot with an undefined sign code.
-        let w = (simd_op5::VDOT << 27) | (0b011 << 12) | opcode::PULP_SIMD;
+        let w = (SimdOp::Vdot.code() << 27) | (0b011 << 12) | opcode::PULP_SIMD;
         assert!(decode(w).is_err());
         // op5 31 is unassigned.
         assert!(decode((31 << 27) | opcode::PULP_SIMD).is_err());
@@ -1104,7 +845,7 @@ mod tests {
             (0b10 << 25) | (3 << 20) | (1 << 15) | (0b110 << 12) | (10 << 7) | opcode::PULP_SIMD;
         assert!(decode(w).is_err());
         // qnt with a byte format is not decodable.
-        let w = (simd_op5::QNT << 27)
+        let w = (SimdOp::Qnt.code() << 27)
             | (0b01 << 25)
             | (2 << 20)
             | (1 << 15)

@@ -1,321 +1,42 @@
-//! Binary instruction encoding.
-//!
-//! Base RV32IM instructions use the standard RISC-V encodings. The
-//! XpulpV2/XpulpNN extensions use a documented, self-consistent encoding
-//! inspired by RI5CY's custom opcode assignments (the upstream bit layouts
-//! were never frozen as a ratified standard; what matters for this
-//! reproduction is that [`encode`] and [`crate::decode::decode`] are exact
+//! Binary instruction encoding over the [`crate::table`] declarations:
+//! each instruction is its major opcode, its table codes and its operand
+//! fields, packed. [`encode`] and [`crate::decode::decode`] are exact
 //! inverses, which the property tests verify over the whole instruction
-//! space):
-//!
-//! | major opcode | use |
-//! |---|---|
-//! | `0x0b` (custom-0) | post-increment / register-offset loads |
-//! | `0x2b` (custom-1) | post-increment stores |
-//! | `0x5b` (custom-2) | bit-field extract/insert (`p.extract*`, `p.insert`) |
-//! | `0x7b` (custom-3) | hardware loops (`lp.*`) |
-//! | `0x57` | packed SIMD (`pv.*`), all four lane formats |
-//! | `0x33` + funct7 ≥ `0x08` | scalar `p.*` ALU ops (min/max/abs/clip/mac/…) |
-//!
-//! The SIMD encoding at opcode `0x57` packs:
-//!
-//! ```text
-//! 31      27 26  25 24   20 19   15 14    12 11   7 6      0
-//! [ op5     ][fmt2 ][rs2/im][ rs1   ][ mode3  ][ rd   ][0x57  ]
-//! ```
-//!
-//! `mode3` is `000` for register-register, `100` for `.sc`, and `11i` for
-//! `.sci` where `i` is bit 5 of the 6-bit immediate (the low 5 bits live
-//! in the `rs2` field). Because `.sci` needs those mode bits, there is no
-//! room left to express it together with every format — mirroring the
-//! paper's observation (§III-A) that the immediate variant was dropped
-//! for nibble/crumb operands.
+//! space; the opcode map is documented on the table.
 
-use crate::instr::{
-    AluOp, BitOp, BranchCond, Instr, LoadKind, MulDivOp, PulpAluOp, SimdAluOp, SimdOperand,
-    StoreKind,
-};
+use crate::instr::{Instr, SimdOperand};
 use crate::reg::Reg;
-use crate::simd::{DotSign, SimdFmt};
+use crate::simd::SimdFmt;
+use crate::table::{
+    opcode, BitfieldOp, CsrOp, LoopOp, ScalarOp, SimdOp, BF_LEN, BF_OFF, B_IMM, CLIP, CSR, FMT2,
+    FUNCT10, FUNCT3, FUNCT7, I_IMM, J_IMM, LANE, LOOP_COUNT, LOOP_IDX, LOOP_OFF, MODE_IMM,
+    MODE_SCALAR, MODE_VECTOR, OP5, RD, REG_FORM, REG_OFFSET, RS1, RS2, RS3, SCI, SETUPI_OFF, SHAMT,
+    STRIDED, S_IMM, UNIT_STRIDE, U_IMM,
+};
 
-/// Major opcodes (bits 6:0).
-pub mod opcode {
-    /// RV32I LUI.
-    pub const LUI: u32 = 0x37;
-    /// RV32I AUIPC.
-    pub const AUIPC: u32 = 0x17;
-    /// RV32I JAL.
-    pub const JAL: u32 = 0x6f;
-    /// RV32I JALR.
-    pub const JALR: u32 = 0x67;
-    /// RV32I conditional branches.
-    pub const BRANCH: u32 = 0x63;
-    /// RV32I loads.
-    pub const LOAD: u32 = 0x03;
-    /// RV32I stores.
-    pub const STORE: u32 = 0x23;
-    /// RV32I register-immediate ALU.
-    pub const OP_IMM: u32 = 0x13;
-    /// RV32I register-register ALU (and RV32M, and scalar `p.*`).
-    pub const OP: u32 = 0x33;
-    /// RV32I FENCE.
-    pub const MISC_MEM: u32 = 0x0f;
-    /// RV32I SYSTEM (ecall/ebreak/CSR).
-    pub const SYSTEM: u32 = 0x73;
-    /// XpulpV2 post-increment loads (custom-0).
-    pub const PULP_LOAD: u32 = 0x0b;
-    /// XpulpV2 post-increment stores (custom-1).
-    pub const PULP_STORE: u32 = 0x2b;
-    /// XpulpV2 bit-field ops (custom-2).
-    pub const PULP_BITFIELD: u32 = 0x5b;
-    /// XpulpV2 hardware loops (custom-3).
-    pub const PULP_HWLOOP: u32 = 0x7b;
-    /// XpulpV2/XpulpNN packed SIMD, plus the Xrvv vector ops at
-    /// `op5 >= 26` (the packed-SIMD ops end at `SHUFFLE2 = 25`). This is
-    /// the standard RVV OP-V major opcode, so the co-location is also
-    /// faithful to real encodings.
-    pub const PULP_SIMD: u32 = 0x57;
-    /// Xrvv vector loads (the otherwise-unused LOAD-FP major opcode,
-    /// where RVV puts its loads).
-    pub const VEC_LOAD: u32 = 0x07;
-    /// Xrvv vector stores (STORE-FP, likewise).
-    pub const VEC_STORE: u32 = 0x27;
+/// `rd`, `rs1` and `rs2` in their slots.
+fn regs(rd: Reg, rs1: Reg, rs2: Reg) -> u32 {
+    RD.pack(rd as u32) | RS1.pack(rs1 as u32) | RS2.pack(rs2 as u32)
 }
 
-/// funct7 blocks used for scalar `p.*` operations under [`opcode::OP`].
-pub mod pulp_funct7 {
-    /// min/minu/max/maxu/abs/clip/clipu.
-    pub const ALU_A: u32 = 0x08;
-    /// mac/msu/ff1/fl1/cnt/clb/exths/exthz.
-    pub const ALU_B: u32 = 0x09;
-    /// extbs/extbz.
-    pub const ALU_C: u32 = 0x0a;
+/// A `pv.*` word: op5, format, `rd`, `rs1`, and the mode3 + rs2-slot
+/// bits of the second operand.
+fn simd(op5: u32, fmt: SimdFmt, rd: Reg, rs1: Reg, op2: u32) -> u32 {
+    opcode::PULP_SIMD
+        | OP5.pack(op5)
+        | FMT2.pack(fmt.code())
+        | RD.pack(rd as u32)
+        | RS1.pack(rs1 as u32)
+        | op2
 }
 
-/// op5 field values of the SIMD encoding at [`opcode::PULP_SIMD`].
-#[allow(missing_docs)] // the names are the documentation (one per pv.* op)
-pub mod simd_op5 {
-    pub const ADD: u32 = 0;
-    pub const SUB: u32 = 1;
-    pub const AVG: u32 = 2;
-    pub const AVGU: u32 = 3;
-    pub const MIN: u32 = 4;
-    pub const MINU: u32 = 5;
-    pub const MAX: u32 = 6;
-    pub const MAXU: u32 = 7;
-    pub const SRL: u32 = 8;
-    pub const SRA: u32 = 9;
-    pub const SLL: u32 = 10;
-    pub const OR: u32 = 11;
-    pub const AND: u32 = 12;
-    pub const XOR: u32 = 13;
-    pub const ABS: u32 = 14;
-    pub const EXTRACT: u32 = 15;
-    pub const EXTRACTU: u32 = 16;
-    pub const INSERT: u32 = 17;
-    pub const DOTUP: u32 = 18;
-    pub const DOTUSP: u32 = 19;
-    pub const DOTSP: u32 = 20;
-    pub const SDOTUP: u32 = 21;
-    pub const SDOTUSP: u32 = 22;
-    pub const SDOTSP: u32 = 23;
-    pub const QNT: u32 = 24;
-    pub const SHUFFLE2: u32 = 25;
-    // Xrvv vector ops share the opcode; `op5 >= VSETVLI` selects the
-    // vector decode path.
-    pub const VSETVLI: u32 = 26;
-    pub const VDOT: u32 = 27;
-    pub const VQNT: u32 = 28;
-    pub const VSLIDE1: u32 = 29;
-    pub const VMVXS: u32 = 30;
-}
-
-#[inline]
-fn rd(r: Reg) -> u32 {
-    (r as u32) << 7
-}
-
-#[inline]
-fn rs1(r: Reg) -> u32 {
-    (r as u32) << 15
-}
-
-#[inline]
-fn rs2(r: Reg) -> u32 {
-    (r as u32) << 20
-}
-
-#[inline]
-fn funct3(v: u32) -> u32 {
-    (v & 0x7) << 12
-}
-
-#[inline]
-fn funct7(v: u32) -> u32 {
-    (v & 0x7f) << 25
-}
-
-/// Standard I-type immediate placement (bits 31:20).
-#[inline]
-fn imm_i(imm: i32) -> u32 {
-    ((imm as u32) & 0xfff) << 20
-}
-
-/// Standard S-type immediate placement.
-#[inline]
-fn imm_s(imm: i32) -> u32 {
-    let u = imm as u32;
-    ((u & 0xfe0) << 20) | ((u & 0x1f) << 7)
-}
-
-/// Standard B-type immediate placement (byte offset, bit 0 dropped).
-#[inline]
-fn imm_b(imm: i32) -> u32 {
-    let u = imm as u32;
-    ((u & 0x1000) << 19) | ((u & 0x7e0) << 20) | ((u & 0x1e) << 7) | ((u & 0x800) >> 4)
-}
-
-/// Standard J-type immediate placement.
-#[inline]
-fn imm_j(imm: i32) -> u32 {
-    let u = imm as u32;
-    ((u & 0x10_0000) << 11) | ((u & 0x7fe) << 20) | ((u & 0x800) << 9) | (u & 0xf_f000)
-}
-
-fn load_funct3(kind: LoadKind) -> u32 {
-    match kind {
-        LoadKind::Byte => 0b000,
-        LoadKind::Half => 0b001,
-        LoadKind::Word => 0b010,
-        LoadKind::ByteU => 0b100,
-        LoadKind::HalfU => 0b101,
-    }
-}
-
-fn store_funct3(kind: StoreKind) -> u32 {
-    match kind {
-        StoreKind::Byte => 0b000,
-        StoreKind::Half => 0b001,
-        StoreKind::Word => 0b010,
-    }
-}
-
-fn load_kind_code(kind: LoadKind) -> u32 {
-    match kind {
-        LoadKind::Byte => 0,
-        LoadKind::Half => 1,
-        LoadKind::Word => 2,
-        LoadKind::ByteU => 3,
-        LoadKind::HalfU => 4,
-    }
-}
-
-fn store_kind_code(kind: StoreKind) -> u32 {
-    match kind {
-        StoreKind::Byte => 0,
-        StoreKind::Half => 1,
-        StoreKind::Word => 2,
-    }
-}
-
-fn branch_funct3(cond: BranchCond) -> u32 {
-    match cond {
-        BranchCond::Eq => 0b000,
-        BranchCond::Ne => 0b001,
-        BranchCond::Lt => 0b100,
-        BranchCond::Ge => 0b101,
-        BranchCond::Ltu => 0b110,
-        BranchCond::Geu => 0b111,
-    }
-}
-
-fn alu_funct3(op: AluOp) -> u32 {
-    match op {
-        AluOp::Add | AluOp::Sub => 0b000,
-        AluOp::Sll => 0b001,
-        AluOp::Slt => 0b010,
-        AluOp::Sltu => 0b011,
-        AluOp::Xor => 0b100,
-        AluOp::Srl | AluOp::Sra => 0b101,
-        AluOp::Or => 0b110,
-        AluOp::And => 0b111,
-    }
-}
-
-fn muldiv_funct3(op: MulDivOp) -> u32 {
-    match op {
-        MulDivOp::Mul => 0b000,
-        MulDivOp::Mulh => 0b001,
-        MulDivOp::Mulhsu => 0b010,
-        MulDivOp::Mulhu => 0b011,
-        MulDivOp::Div => 0b100,
-        MulDivOp::Divu => 0b101,
-        MulDivOp::Rem => 0b110,
-        MulDivOp::Remu => 0b111,
-    }
-}
-
-fn simd_alu_op5(op: SimdAluOp) -> u32 {
-    use simd_op5::*;
-    match op {
-        SimdAluOp::Add => ADD,
-        SimdAluOp::Sub => SUB,
-        SimdAluOp::Avg => AVG,
-        SimdAluOp::Avgu => AVGU,
-        SimdAluOp::Min => MIN,
-        SimdAluOp::Minu => MINU,
-        SimdAluOp::Max => MAX,
-        SimdAluOp::Maxu => MAXU,
-        SimdAluOp::Srl => SRL,
-        SimdAluOp::Sra => SRA,
-        SimdAluOp::Sll => SLL,
-        SimdAluOp::Or => OR,
-        SimdAluOp::And => AND,
-        SimdAluOp::Xor => XOR,
-    }
-}
-
-fn dot_op5(sign: DotSign, accumulate: bool) -> u32 {
-    use simd_op5::*;
-    match (sign, accumulate) {
-        (DotSign::UnsignedUnsigned, false) => DOTUP,
-        (DotSign::UnsignedSigned, false) => DOTUSP,
-        (DotSign::SignedSigned, false) => DOTSP,
-        (DotSign::UnsignedUnsigned, true) => SDOTUP,
-        (DotSign::UnsignedSigned, true) => SDOTUSP,
-        (DotSign::SignedSigned, true) => SDOTSP,
-    }
-}
-
-fn fmt2(fmt: SimdFmt) -> u32 {
-    match fmt {
-        SimdFmt::Half => 0b00,
-        SimdFmt::Byte => 0b01,
-        SimdFmt::Nibble => 0b10,
-        SimdFmt::Crumb => 0b11,
-    }
-}
-
-/// Encodes the three SIMD addressing modes into `(mode3, rs2_field)`.
-fn simd_operand_fields(op2: SimdOperand) -> (u32, u32) {
+/// The mode3 and rs2-slot bits of a SIMD second operand.
+fn simd_op2(op2: SimdOperand) -> u32 {
     match op2 {
-        SimdOperand::Vector(r) => (0b000, r as u32),
-        SimdOperand::Scalar(r) => (0b100, r as u32),
-        SimdOperand::Imm(i) => {
-            let u = (i as u32) & 0x3f;
-            (0b110 | (u >> 5), u & 0x1f)
-        }
+        SimdOperand::Vector(r) => FUNCT3.pack(MODE_VECTOR) | RS2.pack(r as u32),
+        SimdOperand::Scalar(r) => FUNCT3.pack(MODE_SCALAR) | RS2.pack(r as u32),
+        SimdOperand::Imm(i) => FUNCT3.pack(MODE_IMM) | SCI.pack(i),
     }
-}
-
-fn simd(op5: u32, fmt: SimdFmt, rdr: Reg, rs1r: Reg, mode3: u32, rs2_field: u32) -> u32 {
-    (op5 << 27)
-        | (fmt2(fmt) << 25)
-        | ((rs2_field & 0x1f) << 20)
-        | rs1(rs1r)
-        | funct3(mode3)
-        | rd(rdr)
-        | opcode::PULP_SIMD
 }
 
 /// Encodes an instruction into its 32-bit binary form.
@@ -326,355 +47,236 @@ fn simd(op5: u32, fmt: SimdFmt, rdr: Reg, rs1r: Reg, mode3: u32, rs2_field: u32)
 /// first.
 pub fn encode(instr: &Instr) -> u32 {
     use opcode::*;
+    let zero = Reg::Zero;
     match *instr {
-        Instr::Lui { rd: r, imm } => (imm & 0xffff_f000) | rd(r) | LUI,
-        Instr::Auipc { rd: r, imm } => (imm & 0xffff_f000) | rd(r) | AUIPC,
-        Instr::Jal { rd: r, offset } => imm_j(offset) | rd(r) | JAL,
-        Instr::Jalr {
-            rd: r,
-            rs1: a,
-            offset,
-        } => imm_i(offset) | rs1(a) | rd(r) | JALR,
+        Instr::Lui { rd, imm } => LUI | RD.pack(rd as u32) | U_IMM.pack(imm),
+        Instr::Auipc { rd, imm } => AUIPC | RD.pack(rd as u32) | U_IMM.pack(imm),
+        Instr::Jal { rd, offset } => JAL | RD.pack(rd as u32) | J_IMM.pack(offset),
+        Instr::Jalr { rd, rs1, offset } => JALR | regs(rd, rs1, zero) | I_IMM.pack(offset),
         Instr::Branch {
             cond,
-            rs1: a,
-            rs2: b,
+            rs1,
+            rs2,
             offset,
-        } => imm_b(offset) | rs2(b) | rs1(a) | funct3(branch_funct3(cond)) | BRANCH,
+        } => BRANCH | FUNCT3.pack(cond.code()) | regs(zero, rs1, rs2) | B_IMM.pack(offset),
         Instr::Load {
             kind,
-            rd: r,
-            rs1: a,
+            rd,
+            rs1,
             offset,
-        } => imm_i(offset) | rs1(a) | funct3(load_funct3(kind)) | rd(r) | LOAD,
+        } => LOAD | FUNCT3.pack(kind.code()) | regs(rd, rs1, zero) | I_IMM.pack(offset),
         Instr::Store {
             kind,
-            rs1: a,
-            rs2: b,
+            rs1,
+            rs2,
             offset,
-        } => imm_s(offset) | rs2(b) | rs1(a) | funct3(store_funct3(kind)) | STORE,
-        Instr::Alu {
-            op,
-            rd: r,
-            rs1: a,
-            rs2: b,
-        } => {
-            let f7 = match op {
-                AluOp::Sub | AluOp::Sra => 0x20,
-                _ => 0x00,
-            };
-            funct7(f7) | rs2(b) | rs1(a) | funct3(alu_funct3(op)) | rd(r) | OP
+        } => STORE | FUNCT3.pack(kind.code()) | regs(zero, rs1, rs2) | S_IMM.pack(offset),
+        Instr::Alu { op, rd, rs1, rs2 } => OP | FUNCT10.pack(op.code()) | regs(rd, rs1, rs2),
+        Instr::AluImm { op, rd, rs1, imm } => {
+            let field = if op.is_shift() { &SHAMT } else { &I_IMM };
+            OP_IMM | FUNCT10.pack(op.code()) | regs(rd, rs1, zero) | field.pack(imm)
         }
-        Instr::AluImm {
-            op,
-            rd: r,
-            rs1: a,
-            imm,
-        } => {
-            let base = rs1(a) | funct3(alu_funct3(op)) | rd(r) | OP_IMM;
-            match op {
-                AluOp::Sll | AluOp::Srl => base | imm_i(imm & 0x1f),
-                AluOp::Sra => base | imm_i(imm & 0x1f) | funct7(0x20),
-                _ => base | imm_i(imm),
-            }
-        }
-        Instr::Fence => funct3(0b000) | MISC_MEM,
+        Instr::Fence => MISC_MEM,
         Instr::Ecall => SYSTEM,
-        Instr::Ebreak => imm_i(1) | SYSTEM,
-        Instr::Csr {
-            op,
-            rd: r,
-            rs1: a,
-            csr,
-        } => imm_i(csr as i32) | rs1(a) | funct3(1 + op as u32) | rd(r) | SYSTEM,
-        Instr::MulDiv {
-            op,
-            rd: r,
-            rs1: a,
-            rs2: b,
-        } => funct7(0x01) | rs2(b) | rs1(a) | funct3(muldiv_funct3(op)) | rd(r) | OP,
-        Instr::PulpAlu {
-            op,
-            rd: r,
-            rs1: a,
-            rs2: b,
-        } => {
-            let (f7, f3) = match op {
-                PulpAluOp::Min => (pulp_funct7::ALU_A, 0),
-                PulpAluOp::Minu => (pulp_funct7::ALU_A, 1),
-                PulpAluOp::Max => (pulp_funct7::ALU_A, 2),
-                PulpAluOp::Maxu => (pulp_funct7::ALU_A, 3),
-                PulpAluOp::Abs => (pulp_funct7::ALU_A, 4),
-                PulpAluOp::Exths => (pulp_funct7::ALU_B, 6),
-                PulpAluOp::Exthz => (pulp_funct7::ALU_B, 7),
-                PulpAluOp::Extbs => (pulp_funct7::ALU_C, 0),
-                PulpAluOp::Extbz => (pulp_funct7::ALU_C, 1),
+        Instr::Ebreak => SYSTEM | I_IMM.pack(1),
+        Instr::Csr { op, rd, rs1, csr } => {
+            let op = CsrOp::ALL[usize::from(op).min(2)];
+            SYSTEM | FUNCT3.pack(op.code()) | regs(rd, rs1, zero) | CSR.pack(csr)
+        }
+        Instr::MulDiv { op, rd, rs1, rs2 } => OP | FUNCT10.pack(op.code()) | regs(rd, rs1, rs2),
+        Instr::PulpAlu { op, rd, rs1, rs2 } => OP | FUNCT10.pack(op.code()) | regs(rd, rs1, rs2),
+        Instr::PClip { rd, rs1, bits } => {
+            OP | FUNCT10.pack(ScalarOp::Clip.code()) | regs(rd, rs1, zero) | CLIP.pack(bits)
+        }
+        Instr::PClipU { rd, rs1, bits } => {
+            OP | FUNCT10.pack(ScalarOp::ClipU.code()) | regs(rd, rs1, zero) | CLIP.pack(bits)
+        }
+        Instr::PMac { rd, rs1, rs2 } => {
+            OP | FUNCT10.pack(ScalarOp::Mac.code()) | regs(rd, rs1, rs2)
+        }
+        Instr::PMsu { rd, rs1, rs2 } => {
+            OP | FUNCT10.pack(ScalarOp::Msu.code()) | regs(rd, rs1, rs2)
+        }
+        Instr::PBit { op, rd, rs1 } => OP | FUNCT10.pack(op.code()) | regs(rd, rs1, zero),
+        Instr::PExtract { rd, rs1, len, off }
+        | Instr::PExtractU { rd, rs1, len, off }
+        | Instr::PInsert { rd, rs1, len, off } => {
+            let op = match instr {
+                Instr::PExtract { .. } => BitfieldOp::Extract,
+                Instr::PExtractU { .. } => BitfieldOp::ExtractU,
+                _ => BitfieldOp::Insert,
             };
-            funct7(f7) | rs2(b) | rs1(a) | funct3(f3) | rd(r) | OP
-        }
-        Instr::PClip {
-            rd: r,
-            rs1: a,
-            bits,
-        } => {
-            funct7(pulp_funct7::ALU_A)
-                | ((bits as u32 & 0x1f) << 20)
-                | rs1(a)
-                | funct3(5)
-                | rd(r)
-                | OP
-        }
-        Instr::PClipU {
-            rd: r,
-            rs1: a,
-            bits,
-        } => {
-            funct7(pulp_funct7::ALU_A)
-                | ((bits as u32 & 0x1f) << 20)
-                | rs1(a)
-                | funct3(6)
-                | rd(r)
-                | OP
-        }
-        Instr::PMac {
-            rd: r,
-            rs1: a,
-            rs2: b,
-        } => funct7(pulp_funct7::ALU_B) | rs2(b) | rs1(a) | funct3(0) | rd(r) | OP,
-        Instr::PMsu {
-            rd: r,
-            rs1: a,
-            rs2: b,
-        } => funct7(pulp_funct7::ALU_B) | rs2(b) | rs1(a) | funct3(1) | rd(r) | OP,
-        Instr::PBit { op, rd: r, rs1: a } => {
-            let f3 = match op {
-                BitOp::Ff1 => 2,
-                BitOp::Fl1 => 3,
-                BitOp::Cnt => 4,
-                BitOp::Clb => 5,
-            };
-            funct7(pulp_funct7::ALU_B) | rs1(a) | funct3(f3) | rd(r) | OP
-        }
-        Instr::PExtract {
-            rd: r,
-            rs1: a,
-            len,
-            off,
-        } => {
-            let imm = ((((len as i32) - 1) & 0x1f) << 5) | (off as i32 & 0x1f);
-            imm_i(imm) | rs1(a) | funct3(0) | rd(r) | PULP_BITFIELD
-        }
-        Instr::PExtractU {
-            rd: r,
-            rs1: a,
-            len,
-            off,
-        } => {
-            let imm = ((((len as i32) - 1) & 0x1f) << 5) | (off as i32 & 0x1f);
-            imm_i(imm) | rs1(a) | funct3(1) | rd(r) | PULP_BITFIELD
-        }
-        Instr::PInsert {
-            rd: r,
-            rs1: a,
-            len,
-            off,
-        } => {
-            let imm = ((((len as i32) - 1) & 0x1f) << 5) | (off as i32 & 0x1f);
-            imm_i(imm) | rs1(a) | funct3(2) | rd(r) | PULP_BITFIELD
+            PULP_BITFIELD
+                | FUNCT3.pack(op.code())
+                | regs(rd, rs1, zero)
+                | BF_LEN.pack(len)
+                | BF_OFF.pack(off)
         }
         Instr::LoadPostInc {
             kind,
-            rd: r,
-            rs1: a,
+            rd,
+            rs1,
             offset,
-        } => imm_i(offset) | rs1(a) | funct3(load_funct3(kind)) | rd(r) | PULP_LOAD,
-        Instr::LoadPostIncReg {
-            kind,
-            rd: r,
-            rs1: a,
-            rs2: b,
-        } => funct7(load_kind_code(kind)) | rs2(b) | rs1(a) | funct3(0b111) | rd(r) | PULP_LOAD,
-        Instr::LoadRegOff {
-            kind,
-            rd: r,
-            rs1: a,
-            rs2: b,
-        } => {
-            funct7(0x08 | load_kind_code(kind))
-                | rs2(b)
-                | rs1(a)
-                | funct3(0b111)
-                | rd(r)
-                | PULP_LOAD
+        } => PULP_LOAD | FUNCT3.pack(kind.code()) | regs(rd, rs1, zero) | I_IMM.pack(offset),
+        Instr::LoadPostIncReg { kind, rd, rs1, rs2 } => {
+            PULP_LOAD | FUNCT3.pack(REG_FORM) | FUNCT7.pack(kind as u32) | regs(rd, rs1, rs2)
+        }
+        Instr::LoadRegOff { kind, rd, rs1, rs2 } => {
+            let f7 = REG_OFFSET | kind as u32;
+            PULP_LOAD | FUNCT3.pack(REG_FORM) | FUNCT7.pack(f7) | regs(rd, rs1, rs2)
         }
         Instr::StorePostInc {
             kind,
-            rs1: a,
-            rs2: b,
+            rs1,
+            rs2,
             offset,
-        } => imm_s(offset) | rs2(b) | rs1(a) | funct3(store_funct3(kind)) | PULP_STORE,
+        } => PULP_STORE | FUNCT3.pack(kind.code()) | regs(zero, rs1, rs2) | S_IMM.pack(offset),
         Instr::StorePostIncReg {
             kind,
-            rs1: a,
-            rs2: b,
+            rs1,
+            rs2,
             rs3,
         } => {
-            funct7(((rs3 as u32) << 2) | store_kind_code(kind))
-                | rs2(b)
-                | rs1(a)
-                | funct3(0b111)
-                | PULP_STORE
+            PULP_STORE
+                | FUNCT3.pack(REG_FORM)
+                | FUNCT7.pack(kind.code())
+                | RS3.pack(rs3 as u32)
+                | regs(zero, rs1, rs2)
         }
-        Instr::LpStarti { l, offset } => {
-            imm_i(offset >> 1) | funct3(0) | ((l.index() as u32) << 7) | PULP_HWLOOP
-        }
-        Instr::LpEndi { l, offset } => {
-            imm_i(offset >> 1) | funct3(1) | ((l.index() as u32) << 7) | PULP_HWLOOP
-        }
-        Instr::LpCount { l, rs1: a } => {
-            rs1(a) | funct3(2) | ((l.index() as u32) << 7) | PULP_HWLOOP
-        }
-        Instr::LpCounti { l, imm } => {
-            imm_i(imm as i32) | funct3(3) | ((l.index() as u32) << 7) | PULP_HWLOOP
-        }
-        Instr::LpSetup { l, rs1: a, offset } => {
-            imm_i(offset >> 1) | rs1(a) | funct3(4) | ((l.index() as u32) << 7) | PULP_HWLOOP
+        Instr::LpStarti { l, offset } => hwloop(LoopOp::Starti, l) | LOOP_OFF.pack(offset),
+        Instr::LpEndi { l, offset } => hwloop(LoopOp::Endi, l) | LOOP_OFF.pack(offset),
+        Instr::LpCount { l, rs1 } => hwloop(LoopOp::Count, l) | RS1.pack(rs1 as u32),
+        Instr::LpCounti { l, imm } => hwloop(LoopOp::Counti, l) | LOOP_COUNT.pack(imm),
+        Instr::LpSetup { l, rs1, offset } => {
+            hwloop(LoopOp::Setup, l) | RS1.pack(rs1 as u32) | LOOP_OFF.pack(offset)
         }
         Instr::LpSetupi { l, imm, offset } => {
-            // count in imm12, offset/2 in the rs1 field (5 bits), as in
-            // RI5CY's lp.setupi.
-            imm_i(imm as i32)
-                | ((((offset >> 1) as u32) & 0x1f) << 15)
-                | funct3(5)
-                | ((l.index() as u32) << 7)
-                | PULP_HWLOOP
+            hwloop(LoopOp::Setupi, l) | LOOP_COUNT.pack(imm) | SETUPI_OFF.pack(offset)
         }
         Instr::PvAlu {
             op,
             fmt,
-            rd: r,
-            rs1: a,
+            rd,
+            rs1,
             op2,
-        } => {
-            let (mode3, f) = simd_operand_fields(op2);
-            simd(simd_alu_op5(op), fmt, r, a, mode3, f)
-        }
-        Instr::PvAbs { fmt, rd: r, rs1: a } => simd(simd_op5::ABS, fmt, r, a, 0, 0),
+        } => simd(op.code(), fmt, rd, rs1, simd_op2(op2)),
+        Instr::PvAbs { fmt, rd, rs1 } => simd(SimdOp::Abs.code(), fmt, rd, rs1, 0),
         Instr::PvExtract {
             fmt,
-            rd: r,
-            rs1: a,
+            rd,
+            rs1,
             idx,
             signed,
         } => {
-            let op5 = if signed {
-                simd_op5::EXTRACT
+            let op = if signed {
+                SimdOp::Extract
             } else {
-                simd_op5::EXTRACTU
+                SimdOp::ExtractU
             };
-            simd(op5, fmt, r, a, 0, idx as u32)
+            simd(op.code(), fmt, rd, rs1, LANE.pack(idx))
         }
-        Instr::PvInsert {
-            fmt,
-            rd: r,
-            rs1: a,
-            idx,
-        } => simd(simd_op5::INSERT, fmt, r, a, 0, idx as u32),
+        Instr::PvInsert { fmt, rd, rs1, idx } => {
+            simd(SimdOp::Insert.code(), fmt, rd, rs1, LANE.pack(idx))
+        }
         Instr::PvDot {
             fmt,
             sign,
-            rd: r,
-            rs1: a,
+            rd,
+            rs1,
             op2,
-        } => {
-            let (mode3, f) = simd_operand_fields(op2);
-            simd(dot_op5(sign, false), fmt, r, a, mode3, f)
-        }
+        } => simd(
+            SimdOp::Dot.code() + sign.code(),
+            fmt,
+            rd,
+            rs1,
+            simd_op2(op2),
+        ),
         Instr::PvSdot {
             fmt,
             sign,
-            rd: r,
-            rs1: a,
+            rd,
+            rs1,
             op2,
-        } => {
-            let (mode3, f) = simd_operand_fields(op2);
-            simd(dot_op5(sign, true), fmt, r, a, mode3, f)
-        }
-        Instr::PvQnt {
+        } => simd(
+            SimdOp::Sdot.code() + sign.code(),
             fmt,
-            rd: r,
-            rs1: a,
-            rs2: b,
-        } => simd(simd_op5::QNT, fmt, r, a, 0, b as u32),
-        Instr::PvShuffle2 {
-            fmt,
-            rd: r,
-            rs1: a,
-            rs2: b,
-        } => simd(simd_op5::SHUFFLE2, fmt, r, a, 0, b as u32),
-        Instr::VSetvli { rd: r, rs1: a, sew } => {
-            (simd_op5::VSETVLI << 27) | (sew.code() << 25) | rs1(a) | rd(r) | PULP_SIMD
+            rd,
+            rs1,
+            simd_op2(op2),
+        ),
+        Instr::PvQnt { fmt, rd, rs1, rs2 } => {
+            simd(SimdOp::Qnt.code(), fmt, rd, rs1, RS2.pack(rs2 as u32))
         }
-        Instr::VDot {
-            sign,
-            rd: r,
-            vs1,
-            vs2,
-        } => {
-            let f3 = match sign {
-                DotSign::UnsignedUnsigned => 0,
-                DotSign::UnsignedSigned => 1,
-                DotSign::SignedSigned => 2,
-            };
-            (simd_op5::VDOT << 27)
-                | (u32::from(vs2) << 20)
-                | (u32::from(vs1) << 15)
-                | funct3(f3)
-                | rd(r)
-                | PULP_SIMD
+        Instr::PvShuffle2 { fmt, rd, rs1, rs2 } => {
+            simd(SimdOp::Shuffle2.code(), fmt, rd, rs1, RS2.pack(rs2 as u32))
         }
-        Instr::VQnt {
-            fmt,
-            vd,
-            rs1: a,
-            vs2,
-        } => {
-            (simd_op5::VQNT << 27)
-                | (fmt2(fmt) << 25)
-                | (u32::from(vs2) << 20)
-                | rs1(a)
-                | (u32::from(vd) << 7)
-                | PULP_SIMD
+        Instr::VSetvli { rd, rs1, sew } => {
+            PULP_SIMD
+                | OP5.pack(SimdOp::Vsetvli.code())
+                | FMT2.pack(sew.code())
+                | regs(rd, rs1, zero)
         }
-        Instr::VSlide1 { vd, vs2, rs1: a } => {
-            (simd_op5::VSLIDE1 << 27)
-                | (u32::from(vs2) << 20)
-                | rs1(a)
-                | (u32::from(vd) << 7)
-                | PULP_SIMD
+        Instr::VDot { sign, rd, vs1, vs2 } => {
+            PULP_SIMD
+                | OP5.pack(SimdOp::Vdot.code())
+                | FUNCT3.pack(sign.code())
+                | RD.pack(rd as u32)
+                | RS1.pack(u32::from(vs1))
+                | RS2.pack(u32::from(vs2))
         }
-        Instr::VMvXS { rd: r, vs2 } => {
-            (simd_op5::VMVXS << 27) | (u32::from(vs2) << 20) | rd(r) | PULP_SIMD
+        Instr::VQnt { fmt, vd, rs1, vs2 } => {
+            PULP_SIMD
+                | OP5.pack(SimdOp::Vqnt.code())
+                | FMT2.pack(fmt.code())
+                | RD.pack(u32::from(vd))
+                | RS1.pack(rs1 as u32)
+                | RS2.pack(u32::from(vs2))
         }
-        Instr::VLoad { vd, rs1: a } => rs1(a) | funct3(0b000) | (u32::from(vd) << 7) | VEC_LOAD,
-        Instr::VLoadStrided { vd, rs1: a, rs2: b } => {
-            rs2(b) | rs1(a) | funct3(0b010) | (u32::from(vd) << 7) | VEC_LOAD
+        Instr::VSlide1 { vd, vs2, rs1 } => {
+            PULP_SIMD
+                | OP5.pack(SimdOp::Vslide1down.code())
+                | RD.pack(u32::from(vd))
+                | RS1.pack(rs1 as u32)
+                | RS2.pack(u32::from(vs2))
         }
-        Instr::VStore { vs, rs1: a } => rs1(a) | funct3(0b000) | (u32::from(vs) << 7) | VEC_STORE,
-        Instr::VStoreStrided { vs, rs1: a, rs2: b } => {
-            rs2(b) | rs1(a) | funct3(0b010) | (u32::from(vs) << 7) | VEC_STORE
+        Instr::VMvXS { rd, vs2 } => {
+            PULP_SIMD
+                | OP5.pack(SimdOp::VmvXS.code())
+                | RD.pack(rd as u32)
+                | RS2.pack(u32::from(vs2))
         }
-        Instr::Nop => {
-            // Canonical nop: addi x0, x0, 0.
-            OP_IMM
+        Instr::VLoad { vd: v, rs1 } | Instr::VStore { vs: v, rs1 } => {
+            vec_mem(instr, UNIT_STRIDE) | RD.pack(u32::from(v)) | RS1.pack(rs1 as u32)
         }
+        Instr::VLoadStrided { vd: v, rs1, rs2 } | Instr::VStoreStrided { vs: v, rs1, rs2 } => {
+            vec_mem(instr, STRIDED) | RD.pack(u32::from(v)) | regs(zero, rs1, rs2)
+        }
+        // Canonical nop: addi x0, x0, 0.
+        Instr::Nop => OP_IMM,
     }
+}
+
+/// A hardware-loop word's opcode, op and loop index.
+fn hwloop(op: LoopOp, l: crate::instr::LoopIdx) -> u32 {
+    opcode::PULP_HWLOOP | FUNCT3.pack(op.code()) | LOOP_IDX.pack(l.index() as u32)
+}
+
+/// A vector load/store word's opcode and funct3.
+fn vec_mem(instr: &Instr, funct3: u32) -> u32 {
+    let major = if matches!(instr, Instr::VStore { .. } | Instr::VStoreStrided { .. }) {
+        opcode::VEC_STORE
+    } else {
+        opcode::VEC_LOAD
+    };
+    major | FUNCT3.pack(funct3)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instr::{AluOp, BranchCond, LoadKind, MulDivOp, SimdAluOp, StoreKind};
     use crate::reg::Reg;
+    use crate::simd::SimdFmt;
 
     #[test]
     fn standard_encodings_match_riscv_spec() {

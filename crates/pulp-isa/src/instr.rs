@@ -15,42 +15,26 @@
 //!   the paper, the immediate (`.sci`) variant exists only for the
 //!   XpulpV2 formats (`b`/`h`); the nibble/crumb formats were left out of
 //!   the encoding space. [`Instr::validate`] enforces this.
+//! * The op enums, their field codes and mnemonics, and every operand
+//!   field are declared once in [`crate::table`]. [`Instr::operands`]
+//!   lists each instruction's operands in assembly-text order together
+//!   with their fields; `Display`, [`Instr::validate`] and the text
+//!   parser in `pulp-asm` all walk that one list.
 
 use crate::reg::Reg;
 use crate::simd::{DotSign, SimdFmt};
+use crate::table::{
+    BitfieldOp, CsrOp, Field, LoopOp, ScalarOp, SimdOp, BF_LEN, BF_OFF, B_IMM, CLIP, CSR, I_IMM,
+    J_IMM, LANE, LOOP_COUNT, LOOP_OFF, SCI, SETUPI_OFF, SHAMT, S_IMM, U_IMM,
+};
 use crate::vec::{VReg, VecSew};
 use std::fmt;
 
-/// Condition of a conditional branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BranchCond {
-    /// `beq`: branch if equal.
-    Eq,
-    /// `bne`: branch if not equal.
-    Ne,
-    /// `blt`: branch if less than (signed).
-    Lt,
-    /// `bge`: branch if greater or equal (signed).
-    Ge,
-    /// `bltu`: branch if less than (unsigned).
-    Ltu,
-    /// `bgeu`: branch if greater or equal (unsigned).
-    Geu,
-}
+pub use crate::table::{
+    AluOp, BitOp, BranchCond, LoadKind, MulDivOp, PulpAluOp, SimdAluOp, StoreKind,
+};
 
 impl BranchCond {
-    /// The assembly mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            BranchCond::Eq => "beq",
-            BranchCond::Ne => "bne",
-            BranchCond::Lt => "blt",
-            BranchCond::Ge => "bge",
-            BranchCond::Ltu => "bltu",
-            BranchCond::Geu => "bgeu",
-        }
-    }
-
     /// Evaluates the condition on two register values.
     #[inline]
     pub fn eval(self, a: u32, b: u32) -> bool {
@@ -65,21 +49,6 @@ impl BranchCond {
     }
 }
 
-/// Width/signedness of a load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LoadKind {
-    /// `lb`: sign-extended byte.
-    Byte,
-    /// `lh`: sign-extended half-word.
-    Half,
-    /// `lw`: word.
-    Word,
-    /// `lbu`: zero-extended byte.
-    ByteU,
-    /// `lhu`: zero-extended half-word.
-    HalfU,
-}
-
 impl LoadKind {
     /// Access size in bytes.
     pub const fn size(self) -> u32 {
@@ -89,28 +58,6 @@ impl LoadKind {
             LoadKind::Word => 4,
         }
     }
-
-    /// The base mnemonic (`lb`, `lh`, …).
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            LoadKind::Byte => "lb",
-            LoadKind::Half => "lh",
-            LoadKind::Word => "lw",
-            LoadKind::ByteU => "lbu",
-            LoadKind::HalfU => "lhu",
-        }
-    }
-}
-
-/// Width of a store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StoreKind {
-    /// `sb`: byte.
-    Byte,
-    /// `sh`: half-word.
-    Half,
-    /// `sw`: word.
-    Word,
 }
 
 impl StoreKind {
@@ -122,59 +69,9 @@ impl StoreKind {
             StoreKind::Word => 4,
         }
     }
-
-    /// The base mnemonic (`sb`, `sh`, `sw`).
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            StoreKind::Byte => "sb",
-            StoreKind::Half => "sh",
-            StoreKind::Word => "sw",
-        }
-    }
-}
-
-/// Register-register ALU operation (RV32I `OP` major opcode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AluOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Shift left logical.
-    Sll,
-    /// Set if less than (signed).
-    Slt,
-    /// Set if less than (unsigned).
-    Sltu,
-    /// Bitwise exclusive or.
-    Xor,
-    /// Shift right logical.
-    Srl,
-    /// Shift right arithmetic.
-    Sra,
-    /// Bitwise or.
-    Or,
-    /// Bitwise and.
-    And,
 }
 
 impl AluOp {
-    /// The assembly mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            AluOp::Add => "add",
-            AluOp::Sub => "sub",
-            AluOp::Sll => "sll",
-            AluOp::Slt => "slt",
-            AluOp::Sltu => "sltu",
-            AluOp::Xor => "xor",
-            AluOp::Srl => "srl",
-            AluOp::Sra => "sra",
-            AluOp::Or => "or",
-            AluOp::And => "and",
-        }
-    }
-
     /// Evaluates the operation.
     #[inline]
     pub fn eval(self, a: u32, b: u32) -> u32 {
@@ -196,44 +93,15 @@ impl AluOp {
     pub const fn has_imm_form(self) -> bool {
         !matches!(self, AluOp::Sub)
     }
-}
 
-/// RV32M multiply/divide operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MulDivOp {
-    /// Low 32 bits of the product.
-    Mul,
-    /// High 32 bits of signed × signed.
-    Mulh,
-    /// High 32 bits of signed × unsigned.
-    Mulhsu,
-    /// High 32 bits of unsigned × unsigned.
-    Mulhu,
-    /// Signed division.
-    Div,
-    /// Unsigned division.
-    Divu,
-    /// Signed remainder.
-    Rem,
-    /// Unsigned remainder.
-    Remu,
+    /// Whether this is a shift, whose immediate form takes a 5-bit
+    /// [`SHAMT`] and keeps funct7.
+    pub const fn is_shift(self) -> bool {
+        matches!(self, AluOp::Sll | AluOp::Srl | AluOp::Sra)
+    }
 }
 
 impl MulDivOp {
-    /// The assembly mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            MulDivOp::Mul => "mul",
-            MulDivOp::Mulh => "mulh",
-            MulDivOp::Mulhsu => "mulhsu",
-            MulDivOp::Mulhu => "mulhu",
-            MulDivOp::Div => "div",
-            MulDivOp::Divu => "divu",
-            MulDivOp::Rem => "rem",
-            MulDivOp::Remu => "remu",
-        }
-    }
-
     /// Evaluates the operation with the RISC-V division-by-zero and
     /// overflow semantics (`div x, 0 = -1`, `rem x, 0 = x`, etc.).
     pub fn eval(self, a: u32, b: u32) -> u32 {
@@ -280,45 +148,7 @@ impl MulDivOp {
     }
 }
 
-/// XpulpV2 scalar ALU operation (`p.*`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PulpAluOp {
-    /// `p.min`: signed minimum.
-    Min,
-    /// `p.minu`: unsigned minimum.
-    Minu,
-    /// `p.max`: signed maximum.
-    Max,
-    /// `p.maxu`: unsigned maximum.
-    Maxu,
-    /// `p.abs`: absolute value (rs2 ignored).
-    Abs,
-    /// `p.exths`: sign-extend half-word (rs2 ignored).
-    Exths,
-    /// `p.exthz`: zero-extend half-word (rs2 ignored).
-    Exthz,
-    /// `p.extbs`: sign-extend byte (rs2 ignored).
-    Extbs,
-    /// `p.extbz`: zero-extend byte (rs2 ignored).
-    Extbz,
-}
-
 impl PulpAluOp {
-    /// The assembly mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            PulpAluOp::Min => "p.min",
-            PulpAluOp::Minu => "p.minu",
-            PulpAluOp::Max => "p.max",
-            PulpAluOp::Maxu => "p.maxu",
-            PulpAluOp::Abs => "p.abs",
-            PulpAluOp::Exths => "p.exths",
-            PulpAluOp::Exthz => "p.exthz",
-            PulpAluOp::Extbs => "p.extbs",
-            PulpAluOp::Extbz => "p.extbz",
-        }
-    }
-
     /// Whether the operation uses a second source register.
     pub const fn is_binary(self) -> bool {
         matches!(
@@ -344,30 +174,7 @@ impl PulpAluOp {
     }
 }
 
-/// XpulpV2 single-operand bit-counting operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BitOp {
-    /// `p.ff1`: index of the first (least significant) set bit, 32 if none.
-    Ff1,
-    /// `p.fl1`: index of the last (most significant) set bit, 32 if none.
-    Fl1,
-    /// `p.cnt`: population count.
-    Cnt,
-    /// `p.clb`: count leading bits equal to the sign bit (minus one).
-    Clb,
-}
-
 impl BitOp {
-    /// The assembly mnemonic.
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            BitOp::Ff1 => "p.ff1",
-            BitOp::Fl1 => "p.fl1",
-            BitOp::Cnt => "p.cnt",
-            BitOp::Clb => "p.clb",
-        }
-    }
-
     /// Evaluates the operation.
     pub fn eval(self, a: u32) -> u32 {
         match self {
@@ -429,61 +236,7 @@ impl SimdOperand {
     }
 }
 
-/// Element-wise `pv.*` SIMD operation (everything except dot products,
-/// `pv.extract`/`pv.insert` and `pv.qnt`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SimdAluOp {
-    /// `pv.add`: lane-wise addition.
-    Add,
-    /// `pv.sub`: lane-wise subtraction.
-    Sub,
-    /// `pv.avg`: lane-wise signed average `(a+b)>>1`.
-    Avg,
-    /// `pv.avgu`: lane-wise unsigned average.
-    Avgu,
-    /// `pv.min`: lane-wise signed minimum.
-    Min,
-    /// `pv.minu`: lane-wise unsigned minimum.
-    Minu,
-    /// `pv.max`: lane-wise signed maximum.
-    Max,
-    /// `pv.maxu`: lane-wise unsigned maximum.
-    Maxu,
-    /// `pv.srl`: lane-wise logical shift right.
-    Srl,
-    /// `pv.sra`: lane-wise arithmetic shift right.
-    Sra,
-    /// `pv.sll`: lane-wise shift left.
-    Sll,
-    /// `pv.or`: lane-wise (equivalently bit-wise) or.
-    Or,
-    /// `pv.and`: lane-wise and.
-    And,
-    /// `pv.xor`: lane-wise exclusive or.
-    Xor,
-}
-
 impl SimdAluOp {
-    /// The mnemonic stem (without `pv.` prefix and format suffix).
-    pub const fn stem(self) -> &'static str {
-        match self {
-            SimdAluOp::Add => "add",
-            SimdAluOp::Sub => "sub",
-            SimdAluOp::Avg => "avg",
-            SimdAluOp::Avgu => "avgu",
-            SimdAluOp::Min => "min",
-            SimdAluOp::Minu => "minu",
-            SimdAluOp::Max => "max",
-            SimdAluOp::Maxu => "maxu",
-            SimdAluOp::Srl => "srl",
-            SimdAluOp::Sra => "sra",
-            SimdAluOp::Sll => "sll",
-            SimdAluOp::Or => "or",
-            SimdAluOp::And => "and",
-            SimdAluOp::Xor => "xor",
-        }
-    }
-
     /// Evaluates the operation on packed words using the shared
     /// [`crate::simd`] semantics.
     pub fn eval(self, fmt: SimdFmt, a: u32, b: u32) -> u32 {
@@ -837,7 +590,7 @@ pub enum ValidateError {
     ShuffleSubByte(SimdFmt),
     /// Lane index out of range for the format.
     LaneIndex { fmt: SimdFmt, idx: u8 },
-    /// Immediate out of the encodable range.
+    /// A value its [`Field`] cannot hold (out of range or misaligned).
     ImmRange { what: &'static str, value: i64 },
     /// `sub` has no immediate form.
     SubImm,
@@ -860,7 +613,7 @@ impl fmt::Display for ValidateError {
                 write!(f, "lane index {idx} out of range for format .{fmt}")
             }
             ValidateError::ImmRange { what, value } => {
-                write!(f, "{what} immediate {value} out of encodable range")
+                write!(f, "{what} {value} is out of range or misaligned")
             }
             ValidateError::SubImm => f.write_str("sub has no immediate form"),
         }
@@ -869,14 +622,272 @@ impl fmt::Display for ValidateError {
 
 impl std::error::Error for ValidateError {}
 
+/// An integer instruction field, seen as `i64` by [`Operand::Imm`].
+pub trait IntField {
+    /// The value.
+    fn get(&self) -> i64;
+    /// Stores `v`; callers check it against the [`Field`] first, and
+    /// every field's range fits its Rust type.
+    fn set(&mut self, v: i64);
+}
+
+macro_rules! int_field {
+    ($($t:ty),*) => {$(
+        impl IntField for $t {
+            fn get(&self) -> i64 {
+                i64::from(*self)
+            }
+            fn set(&mut self, v: i64) {
+                *self = v as $t;
+            }
+        }
+    )*};
+}
+int_field!(i8, u8, u16, i32, u32);
+
+/// One operand of an instruction's assembly syntax, borrowed from the
+/// instruction so that one walk ([`Instr::operands`]) prints, parses
+/// and range-checks it.
+pub enum Operand<'a> {
+    /// A scalar register.
+    Reg(&'a mut Reg),
+    /// A vector register.
+    VReg(&'a mut VReg),
+    /// A hardware-loop index, written `x0`/`x1`.
+    Loop(&'a mut LoopIdx),
+    /// A `vsetvli` element width.
+    Sew(&'a mut VecSew),
+    /// An immediate held by its [`Field`].
+    Imm(&'a mut dyn IntField, &'static Field),
+    /// A memory operand `off(base)`, `reg(base)` or `(base)`, written
+    /// `(base!)` when the base is post-incremented.
+    Mem {
+        /// The part before `(base)`.
+        off: MemOffset<'a>,
+        /// The base register.
+        base: &'a mut Reg,
+        /// Whether the base is post-incremented.
+        post_inc: bool,
+    },
+}
+
+/// What precedes `(base)` in a memory operand.
+pub enum MemOffset<'a> {
+    /// An immediate offset.
+    Imm(&'a mut dyn IntField, &'static Field),
+    /// A register offset or increment.
+    Reg(&'a mut Reg),
+    /// Nothing: `(base)`.
+    None,
+}
+
+fn mem<'a>(off: MemOffset<'a>, base: &'a mut Reg, post_inc: bool) -> Operand<'a> {
+    Operand::Mem {
+        off,
+        base,
+        post_inc,
+    }
+}
+
+/// Calls `f` on each of `ops`, until it fails.
+fn each<'a, E, const N: usize>(
+    ops: [Operand<'a>; N],
+    f: &mut impl FnMut(Operand<'a>) -> Result<(), E>,
+) -> Result<(), E> {
+    ops.into_iter().try_for_each(f)
+}
+
+fn simd_op2(op2: &mut SimdOperand) -> Operand<'_> {
+    match op2 {
+        SimdOperand::Vector(r) | SimdOperand::Scalar(r) => Operand::Reg(r),
+        SimdOperand::Imm(i) => Operand::Imm(i, &SCI),
+    }
+}
+
 impl Instr {
-    /// Checks field combinations that the encoding cannot represent.
+    /// Calls `f` on each operand in assembly-text order, each with the
+    /// field that holds it, until `f` fails.
+    pub fn operands<E>(
+        &mut self,
+        mut f: impl FnMut(Operand<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        use MemOffset as M;
+        use Operand::{Imm, Loop, Reg as R, VReg as V};
+        let f = &mut f;
+        match self {
+            Instr::Lui { rd, imm } | Instr::Auipc { rd, imm } => each([R(rd), Imm(imm, &U_IMM)], f),
+            Instr::Jal { rd, offset } => each([R(rd), Imm(offset, &J_IMM)], f),
+            Instr::Jalr { rd, rs1, offset }
+            | Instr::Load {
+                rd, rs1, offset, ..
+            } => each([R(rd), mem(M::Imm(offset, &I_IMM), rs1, false)], f),
+            Instr::Branch {
+                rs1, rs2, offset, ..
+            } => each([R(rs1), R(rs2), Imm(offset, &B_IMM)], f),
+            Instr::Store {
+                rs1, rs2, offset, ..
+            } => each([R(rs2), mem(M::Imm(offset, &S_IMM), rs1, false)], f),
+            Instr::AluImm { op, rd, rs1, imm } => {
+                let field = if op.is_shift() { &SHAMT } else { &I_IMM };
+                each([R(rd), R(rs1), Imm(imm, field)], f)
+            }
+            Instr::Fence | Instr::Ecall | Instr::Ebreak | Instr::Nop => each([], f),
+            Instr::Csr { rd, rs1, csr, .. } => each([R(rd), Imm(csr, &CSR), R(rs1)], f),
+            Instr::PulpAlu { op, rd, rs1, rs2 } => {
+                if op.is_binary() {
+                    each([R(rd), R(rs1), R(rs2)], f)
+                } else {
+                    each([R(rd), R(rs1)], f)
+                }
+            }
+            Instr::Alu { rd, rs1, rs2, .. }
+            | Instr::MulDiv { rd, rs1, rs2, .. }
+            | Instr::PMac { rd, rs1, rs2 }
+            | Instr::PMsu { rd, rs1, rs2 }
+            | Instr::PvShuffle2 { rd, rs1, rs2, .. }
+            | Instr::PvQnt { rd, rs1, rs2, .. } => each([R(rd), R(rs1), R(rs2)], f),
+            Instr::PBit { rd, rs1, .. } | Instr::PvAbs { rd, rs1, .. } => each([R(rd), R(rs1)], f),
+            Instr::PClip { rd, rs1, bits } | Instr::PClipU { rd, rs1, bits } => {
+                each([R(rd), R(rs1), Imm(bits, &CLIP)], f)
+            }
+            Instr::PExtract { rd, rs1, len, off }
+            | Instr::PExtractU { rd, rs1, len, off }
+            | Instr::PInsert { rd, rs1, len, off } => {
+                each([R(rd), R(rs1), Imm(len, &BF_LEN), Imm(off, &BF_OFF)], f)
+            }
+            Instr::LoadPostInc {
+                rd, rs1, offset, ..
+            } => each([R(rd), mem(M::Imm(offset, &I_IMM), rs1, true)], f),
+            Instr::LoadPostIncReg { rd, rs1, rs2, .. } => {
+                each([R(rd), mem(M::Reg(rs2), rs1, true)], f)
+            }
+            Instr::LoadRegOff { rd, rs1, rs2, .. } => {
+                each([R(rd), mem(M::Reg(rs2), rs1, false)], f)
+            }
+            Instr::StorePostInc {
+                rs1, rs2, offset, ..
+            } => each([R(rs2), mem(M::Imm(offset, &S_IMM), rs1, true)], f),
+            Instr::StorePostIncReg { rs1, rs2, rs3, .. } => {
+                each([R(rs2), mem(M::Reg(rs3), rs1, true)], f)
+            }
+            Instr::LpStarti { l, offset } | Instr::LpEndi { l, offset } => {
+                each([Loop(l), Imm(offset, &LOOP_OFF)], f)
+            }
+            Instr::LpCount { l, rs1 } => each([Loop(l), R(rs1)], f),
+            Instr::LpCounti { l, imm } => each([Loop(l), Imm(imm, &LOOP_COUNT)], f),
+            Instr::LpSetup { l, rs1, offset } => each([Loop(l), R(rs1), Imm(offset, &LOOP_OFF)], f),
+            Instr::LpSetupi { l, imm, offset } => each(
+                [Loop(l), Imm(imm, &LOOP_COUNT), Imm(offset, &SETUPI_OFF)],
+                f,
+            ),
+            Instr::PvAlu { rd, rs1, op2, .. }
+            | Instr::PvDot { rd, rs1, op2, .. }
+            | Instr::PvSdot { rd, rs1, op2, .. } => each([R(rd), R(rs1), simd_op2(op2)], f),
+            Instr::PvExtract { rd, rs1, idx, .. } | Instr::PvInsert { rd, rs1, idx, .. } => {
+                each([R(rd), R(rs1), Imm(idx, &LANE)], f)
+            }
+            Instr::VSetvli { rd, rs1, sew } => each([R(rd), R(rs1), Operand::Sew(sew)], f),
+            Instr::VLoad { vd: v, rs1 } | Instr::VStore { vs: v, rs1 } => {
+                each([V(v), mem(M::None, rs1, false)], f)
+            }
+            Instr::VLoadStrided { vd: v, rs1, rs2 } | Instr::VStoreStrided { vs: v, rs1, rs2 } => {
+                each([V(v), mem(M::None, rs1, false), R(rs2)], f)
+            }
+            Instr::VDot { rd, vs1, vs2, .. } => each([R(rd), V(vs1), V(vs2)], f),
+            Instr::VQnt { vd, rs1, vs2, .. } => each([V(vd), R(rs1), V(vs2)], f),
+            Instr::VSlide1 { vd, vs2, rs1 } => each([V(vd), V(vs2), R(rs1)], f),
+            Instr::VMvXS { rd, vs2 } => each([R(rd), V(vs2)], f),
+        }
+    }
+
+    /// Writes the assembly mnemonic (`addi`, `p.lw`, `pv.sdotusp.sc.c`, …).
+    pub fn write_mnemonic(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        match *self {
+            Instr::Lui { .. } => w.write_str("lui"),
+            Instr::Auipc { .. } => w.write_str("auipc"),
+            Instr::Jal { .. } => w.write_str("jal"),
+            Instr::Jalr { .. } => w.write_str("jalr"),
+            Instr::Fence => w.write_str("fence"),
+            Instr::Ecall => w.write_str("ecall"),
+            Instr::Ebreak => w.write_str("ebreak"),
+            Instr::Nop => w.write_str("nop"),
+            Instr::Branch { cond, .. } => write!(w, "{cond}"),
+            Instr::Load { kind, .. } => write!(w, "{kind}"),
+            Instr::Store { kind, .. } => write!(w, "{kind}"),
+            Instr::Alu { op, .. } => write!(w, "{op}"),
+            Instr::AluImm { op, .. } => write!(w, "{op}i"),
+            // `validate` rejects an `op` past the table; printing clamps it.
+            Instr::Csr { op, .. } => write!(w, "{}", CsrOp::ALL[usize::from(op).min(2)]),
+            Instr::MulDiv { op, .. } => write!(w, "{op}"),
+            Instr::PulpAlu { op, .. } => write!(w, "{op}"),
+            Instr::PBit { op, .. } => write!(w, "{op}"),
+            Instr::PClip { .. } => write!(w, "{}", ScalarOp::Clip),
+            Instr::PClipU { .. } => write!(w, "{}", ScalarOp::ClipU),
+            Instr::PMac { .. } => write!(w, "{}", ScalarOp::Mac),
+            Instr::PMsu { .. } => write!(w, "{}", ScalarOp::Msu),
+            Instr::PExtract { .. } => write!(w, "{}", BitfieldOp::Extract),
+            Instr::PExtractU { .. } => write!(w, "{}", BitfieldOp::ExtractU),
+            Instr::PInsert { .. } => write!(w, "{}", BitfieldOp::Insert),
+            Instr::LoadPostInc { kind, .. }
+            | Instr::LoadPostIncReg { kind, .. }
+            | Instr::LoadRegOff { kind, .. } => write!(w, "p.{kind}"),
+            Instr::StorePostInc { kind, .. } | Instr::StorePostIncReg { kind, .. } => {
+                write!(w, "p.{kind}")
+            }
+            Instr::LpStarti { .. } => write!(w, "{}", LoopOp::Starti),
+            Instr::LpEndi { .. } => write!(w, "{}", LoopOp::Endi),
+            Instr::LpCount { .. } => write!(w, "{}", LoopOp::Count),
+            Instr::LpCounti { .. } => write!(w, "{}", LoopOp::Counti),
+            Instr::LpSetup { .. } => write!(w, "{}", LoopOp::Setup),
+            Instr::LpSetupi { .. } => write!(w, "{}", LoopOp::Setupi),
+            Instr::PvAlu { op, fmt, op2, .. } => write!(w, "pv.{op}{}.{fmt}", op2.suffix()),
+            Instr::PvAbs { fmt, .. } => write!(w, "pv.{}.{fmt}", SimdOp::Abs),
+            Instr::PvExtract { fmt, signed, .. } => {
+                let op = if signed {
+                    SimdOp::Extract
+                } else {
+                    SimdOp::ExtractU
+                };
+                write!(w, "pv.{op}.{fmt}")
+            }
+            Instr::PvInsert { fmt, .. } => write!(w, "pv.{}.{fmt}", SimdOp::Insert),
+            Instr::PvShuffle2 { fmt, .. } => write!(w, "pv.{}.{fmt}", SimdOp::Shuffle2),
+            Instr::PvQnt { fmt, .. } => write!(w, "pv.{}.{fmt}", SimdOp::Qnt),
+            Instr::PvDot { fmt, sign, op2, .. } => {
+                write!(w, "pv.{}{sign}{}.{fmt}", SimdOp::Dot, op2.suffix())
+            }
+            Instr::PvSdot { fmt, sign, op2, .. } => {
+                write!(w, "pv.{}{sign}{}.{fmt}", SimdOp::Sdot, op2.suffix())
+            }
+            Instr::VSetvli { .. } => write!(w, "{}", SimdOp::Vsetvli),
+            Instr::VLoad { .. } => w.write_str("vle.v"),
+            Instr::VStore { .. } => w.write_str("vse.v"),
+            Instr::VLoadStrided { .. } => w.write_str("vlse.v"),
+            Instr::VStoreStrided { .. } => w.write_str("vsse.v"),
+            Instr::VDot { sign, .. } => write!(w, "{}{sign}.vv", SimdOp::Vdot),
+            Instr::VQnt { fmt, .. } => write!(w, "{}.{fmt}.v", SimdOp::Vqnt),
+            Instr::VSlide1 { .. } => write!(w, "{}", SimdOp::Vslide1down),
+            Instr::VMvXS { .. } => write!(w, "{}", SimdOp::VmvXS),
+        }
+    }
+
+    /// The assembly mnemonic as a string.
+    pub fn mnemonic(&self) -> String {
+        let mut s = String::new();
+        // Writing into a String cannot fail.
+        let _ = self.write_mnemonic(&mut s);
+        s
+    }
+
+    /// Checks every operand against its [`Field`] (range, scale and
+    /// alignment), plus the field combinations the encoding cannot
+    /// represent.
     ///
     /// # Errors
     ///
     /// Returns a [`ValidateError`] naming the offending field. The
-    /// assembler validates every instruction before emission; the decoder
-    /// can never produce an invalid combination.
+    /// assembler validates every instruction before emission; whatever
+    /// the decoder produces validates.
     pub fn validate(&self) -> Result<(), ValidateError> {
         match *self {
             Instr::PvAlu {
@@ -893,79 +904,38 @@ impl Instr {
                 fmt,
                 op2: SimdOperand::Imm(_),
                 ..
-            } if fmt.is_sub_byte() => Err(ValidateError::SciWithSubByte(fmt)),
+            } if fmt.is_sub_byte() => return Err(ValidateError::SciWithSubByte(fmt)),
             Instr::PvQnt { fmt, .. } | Instr::VQnt { fmt, .. } if !fmt.is_sub_byte() => {
-                Err(ValidateError::QntFormat(fmt))
+                return Err(ValidateError::QntFormat(fmt))
             }
             // Sub-byte selectors cannot index all lanes, so shuffle2 (like
             // CV32E40P's) exists only for the b/h formats.
             Instr::PvShuffle2 { fmt, .. } if fmt.is_sub_byte() => {
-                Err(ValidateError::ShuffleSubByte(fmt))
+                return Err(ValidateError::ShuffleSubByte(fmt))
             }
             Instr::PvExtract { fmt, idx, .. } | Instr::PvInsert { fmt, idx, .. }
                 if idx as usize >= fmt.lanes() =>
             {
-                Err(ValidateError::LaneIndex { fmt, idx })
+                return Err(ValidateError::LaneIndex { fmt, idx })
             }
-            Instr::AluImm { op: AluOp::Sub, .. } => Err(ValidateError::SubImm),
-            Instr::AluImm { op, imm, .. } => {
-                let ok = if matches!(op, AluOp::Sll | AluOp::Srl | AluOp::Sra) {
-                    (0..32).contains(&imm)
-                } else {
-                    (-2048..2048).contains(&imm)
-                };
-                if ok {
-                    Ok(())
-                } else {
-                    Err(ValidateError::ImmRange {
-                        what: "alu",
-                        value: imm as i64,
-                    })
-                }
-            }
-            Instr::Load { offset, .. }
-            | Instr::Store { offset, .. }
-            | Instr::LoadPostInc { offset, .. }
-            | Instr::StorePostInc { offset, .. }
-            | Instr::Jalr { offset, .. } => {
-                if (-2048..2048).contains(&offset) {
-                    Ok(())
-                } else {
-                    Err(ValidateError::ImmRange {
-                        what: "offset",
-                        value: offset as i64,
-                    })
-                }
-            }
-            Instr::PvAlu {
-                op2: SimdOperand::Imm(i),
-                ..
-            }
-            | Instr::PvDot {
-                op2: SimdOperand::Imm(i),
-                ..
-            }
-            | Instr::PvSdot {
-                op2: SimdOperand::Imm(i),
-                ..
-            } => {
-                if (-32..32).contains(&i) {
-                    Ok(())
-                } else {
-                    Err(ValidateError::ImmRange {
-                        what: "sci",
-                        value: i as i64,
-                    })
-                }
-            }
-            Instr::LpCounti { imm, .. } | Instr::LpSetupi { imm, .. } if imm >= 1 << 12 => {
-                Err(ValidateError::ImmRange {
-                    what: "loop count",
-                    value: imm as i64,
+            Instr::AluImm { op: AluOp::Sub, .. } => return Err(ValidateError::SubImm),
+            Instr::Csr { op, .. } if usize::from(op) >= CsrOp::ALL.len() => {
+                return Err(ValidateError::ImmRange {
+                    what: "csr op",
+                    value: op.into(),
                 })
             }
-            _ => Ok(()),
+            _ => {}
         }
+        let mut copy = *self;
+        copy.operands(|operand| match operand {
+            Operand::Imm(v, field)
+            | Operand::Mem {
+                off: MemOffset::Imm(v, field),
+                ..
+            } => field.check(v.get()),
+            _ => Ok(()),
+        })
     }
 
     /// True for control-flow instructions (jumps and branches).
@@ -1066,204 +1036,41 @@ impl Instr {
     }
 }
 
-fn fmt_simd_op2(f: &mut fmt::Formatter<'_>, op2: SimdOperand) -> fmt::Result {
-    match op2 {
-        SimdOperand::Vector(r) | SimdOperand::Scalar(r) => write!(f, "{r}"),
-        SimdOperand::Imm(i) => write!(f, "{i}"),
+impl fmt::Display for Instr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_mnemonic(f)?;
+        let mut copy = *self;
+        let mut sep = " ";
+        copy.operands(|operand| {
+            f.write_str(sep)?;
+            sep = ", ";
+            match operand {
+                Operand::Reg(r) => write!(f, "{r}"),
+                Operand::VReg(v) => write!(f, "{v}"),
+                Operand::Loop(l) => write!(f, "x{l}"),
+                Operand::Sew(sew) => write!(f, "{sew}"),
+                Operand::Imm(v, field) => write_imm(f, v.get(), field),
+                Operand::Mem {
+                    off,
+                    base,
+                    post_inc,
+                } => {
+                    match off {
+                        MemOffset::Imm(v, field) => write_imm(f, v.get(), field)?,
+                        MemOffset::Reg(r) => write!(f, "{r}")?,
+                        MemOffset::None => {}
+                    }
+                    write!(f, "({base}{})", if post_inc { "!" } else { "" })
+                }
+            }
+        })
     }
 }
 
-impl fmt::Display for Instr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Instr::Lui { rd, imm } => write!(f, "lui {rd}, 0x{:x}", imm >> 12),
-            Instr::Auipc { rd, imm } => write!(f, "auipc {rd}, 0x{:x}", imm >> 12),
-            Instr::Jal { rd, offset } => write!(f, "jal {rd}, {offset}"),
-            Instr::Jalr { rd, rs1, offset } => write!(f, "jalr {rd}, {offset}({rs1})"),
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                write!(f, "{} {rs1}, {rs2}, {offset}", cond.mnemonic())
-            }
-            Instr::Load {
-                kind,
-                rd,
-                rs1,
-                offset,
-            } => {
-                write!(f, "{} {rd}, {offset}({rs1})", kind.mnemonic())
-            }
-            Instr::Store {
-                kind,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                write!(f, "{} {rs2}, {offset}({rs1})", kind.mnemonic())
-            }
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic())
-            }
-            Instr::AluImm { op, rd, rs1, imm } => {
-                write!(f, "{}i {rd}, {rs1}, {imm}", op.mnemonic())
-            }
-            Instr::Fence => f.write_str("fence"),
-            Instr::Ecall => f.write_str("ecall"),
-            Instr::Ebreak => f.write_str("ebreak"),
-            Instr::Csr { op, rd, rs1, csr } => {
-                let m = match op {
-                    0 => "csrrw",
-                    1 => "csrrs",
-                    _ => "csrrc",
-                };
-                write!(f, "{m} {rd}, 0x{csr:x}, {rs1}")
-            }
-            Instr::MulDiv { op, rd, rs1, rs2 } => {
-                write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic())
-            }
-            Instr::PulpAlu { op, rd, rs1, rs2 } => {
-                if op.is_binary() {
-                    write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic())
-                } else {
-                    write!(f, "{} {rd}, {rs1}", op.mnemonic())
-                }
-            }
-            Instr::PClip { rd, rs1, bits } => write!(f, "p.clip {rd}, {rs1}, {bits}"),
-            Instr::PClipU { rd, rs1, bits } => write!(f, "p.clipu {rd}, {rs1}, {bits}"),
-            Instr::PMac { rd, rs1, rs2 } => write!(f, "p.mac {rd}, {rs1}, {rs2}"),
-            Instr::PMsu { rd, rs1, rs2 } => write!(f, "p.msu {rd}, {rs1}, {rs2}"),
-            Instr::PBit { op, rd, rs1 } => write!(f, "{} {rd}, {rs1}", op.mnemonic()),
-            Instr::PExtract { rd, rs1, len, off } => {
-                write!(f, "p.extract {rd}, {rs1}, {len}, {off}")
-            }
-            Instr::PExtractU { rd, rs1, len, off } => {
-                write!(f, "p.extractu {rd}, {rs1}, {len}, {off}")
-            }
-            Instr::PInsert { rd, rs1, len, off } => {
-                write!(f, "p.insert {rd}, {rs1}, {len}, {off}")
-            }
-            Instr::LoadPostInc {
-                kind,
-                rd,
-                rs1,
-                offset,
-            } => {
-                write!(f, "p.{} {rd}, {offset}({rs1}!)", kind.mnemonic())
-            }
-            Instr::LoadPostIncReg { kind, rd, rs1, rs2 } => {
-                write!(f, "p.{} {rd}, {rs2}({rs1}!)", kind.mnemonic())
-            }
-            Instr::LoadRegOff { kind, rd, rs1, rs2 } => {
-                write!(f, "p.{} {rd}, {rs2}({rs1})", kind.mnemonic())
-            }
-            Instr::StorePostInc {
-                kind,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                write!(f, "p.{} {rs2}, {offset}({rs1}!)", kind.mnemonic())
-            }
-            Instr::StorePostIncReg {
-                kind,
-                rs1,
-                rs2,
-                rs3,
-            } => {
-                write!(f, "p.{} {rs2}, {rs3}({rs1}!)", kind.mnemonic())
-            }
-            Instr::LpStarti { l, offset } => write!(f, "lp.starti x{l}, {offset}"),
-            Instr::LpEndi { l, offset } => write!(f, "lp.endi x{l}, {offset}"),
-            Instr::LpCount { l, rs1 } => write!(f, "lp.count x{l}, {rs1}"),
-            Instr::LpCounti { l, imm } => write!(f, "lp.counti x{l}, {imm}"),
-            Instr::LpSetup { l, rs1, offset } => write!(f, "lp.setup x{l}, {rs1}, {offset}"),
-            Instr::LpSetupi { l, imm, offset } => {
-                write!(f, "lp.setupi x{l}, {imm}, {offset}")
-            }
-            Instr::PvAlu {
-                op,
-                fmt,
-                rd,
-                rs1,
-                op2,
-            } => {
-                write!(f, "pv.{}{}.{fmt} {rd}, {rs1}, ", op.stem(), op2.suffix())?;
-                fmt_simd_op2(f, op2)
-            }
-            Instr::PvAbs { fmt, rd, rs1 } => write!(f, "pv.abs.{fmt} {rd}, {rs1}"),
-            Instr::PvExtract {
-                fmt,
-                rd,
-                rs1,
-                idx,
-                signed,
-            } => {
-                let u = if signed { "" } else { "u" };
-                write!(f, "pv.extract{u}.{fmt} {rd}, {rs1}, {idx}")
-            }
-            Instr::PvInsert { fmt, rd, rs1, idx } => {
-                write!(f, "pv.insert.{fmt} {rd}, {rs1}, {idx}")
-            }
-            Instr::PvShuffle2 { fmt, rd, rs1, rs2 } => {
-                write!(f, "pv.shuffle2.{fmt} {rd}, {rs1}, {rs2}")
-            }
-            Instr::PvDot {
-                fmt,
-                sign,
-                rd,
-                rs1,
-                op2,
-            } => {
-                write!(
-                    f,
-                    "pv.dot{}{}.{fmt} {rd}, {rs1}, ",
-                    sign.infix(),
-                    op2.suffix()
-                )?;
-                fmt_simd_op2(f, op2)
-            }
-            Instr::PvSdot {
-                fmt,
-                sign,
-                rd,
-                rs1,
-                op2,
-            } => {
-                write!(
-                    f,
-                    "pv.sdot{}{}.{fmt} {rd}, {rs1}, ",
-                    sign.infix(),
-                    op2.suffix()
-                )?;
-                fmt_simd_op2(f, op2)
-            }
-            Instr::PvQnt { fmt, rd, rs1, rs2 } => {
-                write!(f, "pv.qnt.{fmt} {rd}, {rs1}, {rs2}")
-            }
-            Instr::VSetvli { rd, rs1, sew } => write!(f, "vsetvli {rd}, {rs1}, {sew}"),
-            Instr::VLoad { vd, rs1 } => write!(f, "vle.v {vd}, ({rs1})"),
-            Instr::VStore { vs, rs1 } => write!(f, "vse.v {vs}, ({rs1})"),
-            Instr::VLoadStrided { vd, rs1, rs2 } => {
-                write!(f, "vlse.v {vd}, ({rs1}), {rs2}")
-            }
-            Instr::VStoreStrided { vs, rs1, rs2 } => {
-                write!(f, "vsse.v {vs}, ({rs1}), {rs2}")
-            }
-            Instr::VDot { sign, rd, vs1, vs2 } => {
-                write!(f, "vdot{}.vv {rd}, {vs1}, {vs2}", sign.infix())
-            }
-            Instr::VQnt { fmt, vd, rs1, vs2 } => {
-                write!(f, "vqnt.{fmt}.v {vd}, {rs1}, {vs2}")
-            }
-            Instr::VSlide1 { vd, vs2, rs1 } => {
-                write!(f, "vslide1down.vx {vd}, {vs2}, {rs1}")
-            }
-            Instr::VMvXS { rd, vs2 } => write!(f, "vmv.x.s {rd}, {vs2}"),
-            Instr::Nop => f.write_str("nop"),
-        }
+fn write_imm(f: &mut fmt::Formatter<'_>, v: i64, field: &Field) -> fmt::Result {
+    match field.hex_shift {
+        Some(shift) => write!(f, "0x{:x}", v >> shift),
+        None => write!(f, "{v}"),
     }
 }
 

@@ -18,14 +18,16 @@
 //! * **Xrvv** — the comparison backend: an RVV-style vector subset with
 //!   sub-byte effective element widths (`vsetvli`, unit-stride and strided
 //!   `vle.v`/`vse.v`, `vdot*.vv`, `vqnt.{n,c}.v`, `vslide1down.vx`,
-//!   `vmv.x.s`), see [`vec`] and DESIGN.md §15.
+//!   `vmv.x.s`), see [`vec`](mod@vec) and DESIGN.md §15.
 //!
 //! The crate provides:
 //!
 //! * [`Reg`] — architectural register names,
 //! * [`Instr`] — the decoded instruction enum,
+//! * [`table`] — the ISA table: every op's field codes and mnemonic and
+//!   every operand field, declared once,
 //! * [`encode::encode`] / [`decode::decode`] — binary encoding and decoding
-//!   (round-trip tested),
+//!   over that table (round-trip tested),
 //! * [`simd`] — bit-accurate lane semantics shared by the simulator and the
 //!   golden models,
 //! * a disassembler via [`Instr`]'s `Display` implementation.
@@ -58,6 +60,7 @@ pub mod encode;
 pub mod instr;
 pub mod reg;
 pub mod simd;
+pub mod table;
 pub mod vec;
 
 pub use decode::DecodeError;

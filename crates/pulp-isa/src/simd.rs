@@ -19,28 +19,10 @@
 //! by the cross-checks between independently written scalar references in
 //! the test suites.
 
-use std::fmt;
-
-/// Lane format of a packed-SIMD operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SimdFmt {
-    /// Two 16-bit lanes (`.h`), part of XpulpV2.
-    Half,
-    /// Four 8-bit lanes (`.b`), part of XpulpV2.
-    Byte,
-    /// Eight 4-bit lanes (`.n`), part of XpulpNN.
-    Nibble,
-    /// Sixteen 2-bit lanes (`.c`), part of XpulpNN.
-    Crumb,
-}
+pub use crate::table::{DotSign, SimdFmt};
 
 /// All formats, narrowest last; useful for sweeps in tests and benches.
-pub const ALL_FMTS: [SimdFmt; 4] = [
-    SimdFmt::Half,
-    SimdFmt::Byte,
-    SimdFmt::Nibble,
-    SimdFmt::Crumb,
-];
+pub const ALL_FMTS: [SimdFmt; 4] = SimdFmt::ALL;
 
 /// The sub-byte formats introduced by XpulpNN.
 pub const SUB_BYTE_FMTS: [SimdFmt; 2] = [SimdFmt::Nibble, SimdFmt::Crumb];
@@ -70,38 +52,10 @@ impl SimdFmt {
         (1u32 << self.bits()) - 1
     }
 
-    /// The mnemonic suffix used in assembly (`h`, `b`, `n` or `c`).
-    #[inline]
-    pub const fn suffix(self) -> &'static str {
-        match self {
-            SimdFmt::Half => "h",
-            SimdFmt::Byte => "b",
-            SimdFmt::Nibble => "n",
-            SimdFmt::Crumb => "c",
-        }
-    }
-
     /// Returns true for the XpulpNN sub-byte formats (`n` and `c`).
     #[inline]
     pub const fn is_sub_byte(self) -> bool {
         matches!(self, SimdFmt::Nibble | SimdFmt::Crumb)
-    }
-
-    /// Parses a mnemonic suffix.
-    pub fn parse_suffix(s: &str) -> Option<SimdFmt> {
-        match s {
-            "h" => Some(SimdFmt::Half),
-            "b" => Some(SimdFmt::Byte),
-            "n" => Some(SimdFmt::Nibble),
-            "c" => Some(SimdFmt::Crumb),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for SimdFmt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.suffix())
     }
 }
 
@@ -213,41 +167,8 @@ pub fn map_s(fmt: SimdFmt, a: u32, mut op: impl FnMut(i32) -> i32) -> u32 {
     out
 }
 
-/// Operand signedness of a dot-product style instruction.
-///
-/// The XpulpV2/XpulpNN dot products come in three flavours, matching
-/// Table II of the paper:
-///
-/// * `dotup` — both operands unsigned ([`DotSign::UnsignedUnsigned`]),
-/// * `dotusp` — first unsigned, second signed ([`DotSign::UnsignedSigned`]),
-/// * `dotsp` — both signed ([`DotSign::SignedSigned`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DotSign {
-    /// `*up`: both vectors are interpreted as unsigned.
-    UnsignedUnsigned,
-    /// `*usp`: `rs1` unsigned, `rs2` signed.
-    UnsignedSigned,
-    /// `*sp`: both vectors are interpreted as signed.
-    SignedSigned,
-}
-
-impl DotSign {
-    /// The mnemonic infix (`up`, `usp` or `sp`).
-    pub const fn infix(self) -> &'static str {
-        match self {
-            DotSign::UnsignedUnsigned => "up",
-            DotSign::UnsignedSigned => "usp",
-            DotSign::SignedSigned => "sp",
-        }
-    }
-}
-
 /// All dot-product signedness variants.
-pub const ALL_DOT_SIGNS: [DotSign; 3] = [
-    DotSign::UnsignedUnsigned,
-    DotSign::UnsignedSigned,
-    DotSign::SignedSigned,
-];
+pub const ALL_DOT_SIGNS: [DotSign; 3] = DotSign::ALL;
 
 /// Dot product with lane width and operand signedness fixed at compile
 /// time: the const generics let the compiler fully unroll the lane loop
@@ -392,9 +313,9 @@ mod tests {
         for fmt in ALL_FMTS {
             assert_eq!(fmt.lanes() as u32 * fmt.bits(), 32);
             assert_eq!(fmt.lane_mask().count_ones(), fmt.bits());
-            assert_eq!(SimdFmt::parse_suffix(fmt.suffix()), Some(fmt));
+            assert_eq!(SimdFmt::from_mnemonic(fmt.mnemonic()), Some(fmt));
         }
-        assert_eq!(SimdFmt::parse_suffix("z"), None);
+        assert_eq!(SimdFmt::from_mnemonic("z"), None);
     }
 
     #[test]

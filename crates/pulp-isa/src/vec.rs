@@ -85,26 +85,10 @@ impl From<VReg> for u32 {
     }
 }
 
-/// Selected element width (SEW) of the vector unit.
-///
-/// The standard RVV minimum is 8 bits; the sub-byte widths are this
-/// model's extension (Quark's central idea), packing 2- or 4-bit
-/// elements contiguously so a VLEN=128 register holds 64 four-bit or
-/// 128 two-bit elements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum VecSew {
-    /// 2-bit elements (sub-byte extension).
-    E2,
-    /// 4-bit elements (sub-byte extension).
-    E4,
-    /// 8-bit elements.
-    E8,
-    /// 16-bit elements.
-    E16,
-}
+pub use crate::table::VecSew;
 
 /// All element widths, narrowest first; useful for sweeps in tests.
-pub const ALL_SEWS: [VecSew; 4] = [VecSew::E2, VecSew::E4, VecSew::E8, VecSew::E16];
+pub const ALL_SEWS: [VecSew; 4] = VecSew::ALL;
 
 impl VecSew {
     /// Element width in bits.
@@ -118,60 +102,11 @@ impl VecSew {
         }
     }
 
-    /// The mnemonic used by `vsetvli` (`e2`, `e4`, `e8`, `e16`).
-    pub const fn mnemonic(self) -> &'static str {
-        match self {
-            VecSew::E2 => "e2",
-            VecSew::E4 => "e4",
-            VecSew::E8 => "e8",
-            VecSew::E16 => "e16",
-        }
-    }
-
-    /// 2-bit encoding field value.
-    #[inline]
-    pub const fn code(self) -> u32 {
-        match self {
-            VecSew::E2 => 0,
-            VecSew::E4 => 1,
-            VecSew::E8 => 2,
-            VecSew::E16 => 3,
-        }
-    }
-
-    /// Inverse of [`VecSew::code`] (masks to 2 bits).
-    #[inline]
-    pub const fn from_code(code: u32) -> VecSew {
-        match code & 0b11 {
-            0 => VecSew::E2,
-            1 => VecSew::E4,
-            2 => VecSew::E8,
-            _ => VecSew::E16,
-        }
-    }
-
     /// True for the widths a byte-addressed stride can express
     /// (strided accesses require whole-byte elements).
     #[inline]
     pub const fn is_byte_multiple(self) -> bool {
         matches!(self, VecSew::E8 | VecSew::E16)
-    }
-
-    /// Parses a `vsetvli` width mnemonic.
-    pub fn parse(s: &str) -> Option<VecSew> {
-        match s {
-            "e2" => Some(VecSew::E2),
-            "e4" => Some(VecSew::E4),
-            "e8" => Some(VecSew::E8),
-            "e16" => Some(VecSew::E16),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for VecSew {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mnemonic())
     }
 }
 
@@ -197,14 +132,14 @@ mod tests {
     #[test]
     fn sew_geometry_and_codes() {
         for sew in ALL_SEWS {
-            assert_eq!(VecSew::from_code(sew.code()), sew);
-            assert_eq!(VecSew::parse(sew.mnemonic()), Some(sew));
+            assert_eq!(VecSew::from_code(sew.code()), Some(sew));
+            assert_eq!(VecSew::from_mnemonic(sew.mnemonic()), Some(sew));
             assert_eq!(sew.to_string(), sew.mnemonic());
         }
         assert_eq!(VecSew::E2.bits(), 2);
         assert_eq!(VecSew::E16.bits(), 16);
         assert!(!VecSew::E4.is_byte_multiple());
         assert!(VecSew::E8.is_byte_multiple());
-        assert_eq!(VecSew::parse("e32"), None);
+        assert_eq!(VecSew::from_mnemonic("e32"), None);
     }
 }

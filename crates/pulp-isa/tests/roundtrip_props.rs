@@ -11,10 +11,11 @@ use pulp_isa::decode::decode;
 use pulp_isa::encode::encode;
 use pulp_isa::instr::{
     AluOp, BitOp, BranchCond, Instr, LoadKind, LoopIdx, MulDivOp, PulpAluOp, SimdAluOp,
-    SimdOperand, StoreKind,
+    SimdOperand, StoreKind, ValidateError,
 };
 use pulp_isa::reg::{Reg, ALL_REGS};
-use pulp_isa::simd::{self, DotSign, SimdFmt, ALL_DOT_SIGNS, ALL_FMTS};
+use pulp_isa::simd::{self, DotSign, SimdFmt};
+use pulp_isa::vec::{VReg, VecSew};
 use xrand::Rng;
 
 const CASES: usize = 2048;
@@ -24,38 +25,12 @@ fn any_reg(r: &mut Rng) -> Reg {
 }
 
 fn any_fmt(r: &mut Rng) -> SimdFmt {
-    ALL_FMTS[r.below(4) as usize]
+    *r.choose(&SimdFmt::ALL)
 }
 
 fn any_dot_sign(r: &mut Rng) -> DotSign {
-    ALL_DOT_SIGNS[r.below(3) as usize]
+    *r.choose(&DotSign::ALL)
 }
-
-const SIMD_ALU_OPS: [SimdAluOp; 14] = [
-    SimdAluOp::Add,
-    SimdAluOp::Sub,
-    SimdAluOp::Avg,
-    SimdAluOp::Avgu,
-    SimdAluOp::Min,
-    SimdAluOp::Minu,
-    SimdAluOp::Max,
-    SimdAluOp::Maxu,
-    SimdAluOp::Srl,
-    SimdAluOp::Sra,
-    SimdAluOp::Sll,
-    SimdAluOp::Or,
-    SimdAluOp::And,
-    SimdAluOp::Xor,
-];
-
-const LOAD_KINDS: [LoadKind; 5] = [
-    LoadKind::Byte,
-    LoadKind::Half,
-    LoadKind::Word,
-    LoadKind::ByteU,
-    LoadKind::HalfU,
-];
-const STORE_KINDS: [StoreKind; 3] = [StoreKind::Byte, StoreKind::Half, StoreKind::Word];
 
 /// Operand generator honouring the "no .sci for sub-byte" encoding rule.
 fn operand_for(r: &mut Rng, fmt: SimdFmt) -> SimdOperand {
@@ -86,30 +61,20 @@ fn any_base(r: &mut Rng) -> Instr {
             rs1: any_reg(r),
             offset: r.range_i32(-2048, 2047),
         },
-        4 => {
-            const CONDS: [BranchCond; 6] = [
-                BranchCond::Eq,
-                BranchCond::Ne,
-                BranchCond::Lt,
-                BranchCond::Ge,
-                BranchCond::Ltu,
-                BranchCond::Geu,
-            ];
-            Instr::Branch {
-                cond: *r.choose(&CONDS),
-                rs1: any_reg(r),
-                rs2: any_reg(r),
-                offset: r.range_i32(-4096, 4095) & !1,
-            }
-        }
+        4 => Instr::Branch {
+            cond: *r.choose(&BranchCond::ALL),
+            rs1: any_reg(r),
+            rs2: any_reg(r),
+            offset: r.range_i32(-4096, 4095) & !1,
+        },
         5 => Instr::Load {
-            kind: *r.choose(&LOAD_KINDS),
+            kind: *r.choose(&LoadKind::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
             offset: r.range_i32(-2048, 2047),
         },
         _ => Instr::Store {
-            kind: *r.choose(&STORE_KINDS),
+            kind: *r.choose(&StoreKind::ALL),
             rs1: any_reg(r),
             rs2: any_reg(r),
             offset: r.range_i32(-2048, 2047),
@@ -119,26 +84,12 @@ fn any_base(r: &mut Rng) -> Instr {
 
 fn any_alu(r: &mut Rng) -> Instr {
     match r.below(4) {
-        0 => {
-            const OPS: [AluOp; 10] = [
-                AluOp::Add,
-                AluOp::Sub,
-                AluOp::Sll,
-                AluOp::Slt,
-                AluOp::Sltu,
-                AluOp::Xor,
-                AluOp::Srl,
-                AluOp::Sra,
-                AluOp::Or,
-                AluOp::And,
-            ];
-            Instr::Alu {
-                op: *r.choose(&OPS),
-                rd: any_reg(r),
-                rs1: any_reg(r),
-                rs2: any_reg(r),
-            }
-        }
+        0 => Instr::Alu {
+            op: *r.choose(&AluOp::ALL),
+            rd: any_reg(r),
+            rs1: any_reg(r),
+            rs2: any_reg(r),
+        },
         1 => {
             const OPS: [AluOp; 6] = [
                 AluOp::Add,
@@ -168,48 +119,23 @@ fn any_alu(r: &mut Rng) -> Instr {
                 imm: r.range_i32(0, 31),
             }
         }
-        _ => {
-            const OPS: [MulDivOp; 8] = [
-                MulDivOp::Mul,
-                MulDivOp::Mulh,
-                MulDivOp::Mulhsu,
-                MulDivOp::Mulhu,
-                MulDivOp::Div,
-                MulDivOp::Divu,
-                MulDivOp::Rem,
-                MulDivOp::Remu,
-            ];
-            Instr::MulDiv {
-                op: *r.choose(&OPS),
-                rd: any_reg(r),
-                rs1: any_reg(r),
-                rs2: any_reg(r),
-            }
-        }
+        _ => Instr::MulDiv {
+            op: *r.choose(&MulDivOp::ALL),
+            rd: any_reg(r),
+            rs1: any_reg(r),
+            rs2: any_reg(r),
+        },
     }
 }
 
 fn any_pulp_scalar(r: &mut Rng) -> Instr {
     match r.below(9) {
-        0 => {
-            const OPS: [PulpAluOp; 9] = [
-                PulpAluOp::Min,
-                PulpAluOp::Minu,
-                PulpAluOp::Max,
-                PulpAluOp::Maxu,
-                PulpAluOp::Abs,
-                PulpAluOp::Exths,
-                PulpAluOp::Exthz,
-                PulpAluOp::Extbs,
-                PulpAluOp::Extbz,
-            ];
-            Instr::PulpAlu {
-                op: *r.choose(&OPS),
-                rd: any_reg(r),
-                rs1: any_reg(r),
-                rs2: any_reg(r),
-            }
-        }
+        0 => Instr::PulpAlu {
+            op: *r.choose(&PulpAluOp::ALL),
+            rd: any_reg(r),
+            rs1: any_reg(r),
+            rs2: any_reg(r),
+        },
         1 => Instr::PClip {
             rd: any_reg(r),
             rs1: any_reg(r),
@@ -230,14 +156,11 @@ fn any_pulp_scalar(r: &mut Rng) -> Instr {
             rs1: any_reg(r),
             rs2: any_reg(r),
         },
-        5 => {
-            const OPS: [BitOp; 4] = [BitOp::Ff1, BitOp::Fl1, BitOp::Cnt, BitOp::Clb];
-            Instr::PBit {
-                op: *r.choose(&OPS),
-                rd: any_reg(r),
-                rs1: any_reg(r),
-            }
-        }
+        5 => Instr::PBit {
+            op: *r.choose(&BitOp::ALL),
+            rd: any_reg(r),
+            rs1: any_reg(r),
+        },
         6 => Instr::PExtract {
             rd: any_reg(r),
             rs1: any_reg(r),
@@ -262,31 +185,31 @@ fn any_pulp_scalar(r: &mut Rng) -> Instr {
 fn any_pulp_mem(r: &mut Rng) -> Instr {
     match r.below(5) {
         0 => Instr::LoadPostInc {
-            kind: *r.choose(&LOAD_KINDS),
+            kind: *r.choose(&LoadKind::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
             offset: r.range_i32(-2048, 2047),
         },
         1 => Instr::LoadPostIncReg {
-            kind: *r.choose(&LOAD_KINDS),
+            kind: *r.choose(&LoadKind::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
             rs2: any_reg(r),
         },
         2 => Instr::LoadRegOff {
-            kind: *r.choose(&LOAD_KINDS),
+            kind: *r.choose(&LoadKind::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
             rs2: any_reg(r),
         },
         3 => Instr::StorePostInc {
-            kind: *r.choose(&STORE_KINDS),
+            kind: *r.choose(&StoreKind::ALL),
             rs1: any_reg(r),
             rs2: any_reg(r),
             offset: r.range_i32(-2048, 2047),
         },
         _ => Instr::StorePostIncReg {
-            kind: *r.choose(&STORE_KINDS),
+            kind: *r.choose(&StoreKind::ALL),
             rs1: any_reg(r),
             rs2: any_reg(r),
             rs3: any_reg(r),
@@ -328,7 +251,7 @@ fn any_simd(r: &mut Rng) -> Instr {
         0 => {
             let fmt = any_fmt(r);
             Instr::PvAlu {
-                op: *r.choose(&SIMD_ALU_OPS),
+                op: *r.choose(&SimdAluOp::ALL),
                 fmt,
                 rd: any_reg(r),
                 rs1: any_reg(r),
@@ -451,7 +374,7 @@ fn simd_alu_matches_scalar_reference() {
     let mut r = Rng::new(0x5eed_0003);
     for _ in 0..CASES {
         let fmt = any_fmt(&mut r);
-        let op = *r.choose(&SIMD_ALU_OPS);
+        let op = *r.choose(&SimdAluOp::ALL);
         let a = r.next_u32();
         let b = r.next_u32();
         let got = op.eval(fmt, a, b);
@@ -546,7 +469,7 @@ fn sc_equals_rr_on_replicated() {
     let mut r = Rng::new(0x5eed_0006);
     for _ in 0..CASES {
         let fmt = any_fmt(&mut r);
-        let op = *r.choose(&SIMD_ALU_OPS);
+        let op = *r.choose(&SimdAluOp::ALL);
         let a = r.next_u32();
         let s = r.next_u32();
         let rep = simd::replicate(fmt, s);
@@ -613,5 +536,272 @@ fn sci_disassembly_contains_imm() {
             assert!(text.contains(&imm.to_string()), "{text}");
             assert!(text.contains(".sci."), "{text}");
         }
+    }
+}
+
+/// An `i32` from anywhere in its range, or near the field extremes.
+fn wild_i32(r: &mut Rng) -> i32 {
+    match r.below(4) {
+        0 => r.next_u32() as i32,
+        1 => r.range_i32(-(1 << 21), 1 << 21),
+        2 => r.range_i32(-5000, 5000),
+        _ => r.range_i32(-70, 70),
+    }
+}
+
+/// A `u32` anywhere, page-aligned or not.
+fn wild_u32(r: &mut Rng) -> u32 {
+    match r.below(3) {
+        0 => r.next_u32() & 0xffff_f000,
+        1 => r.below(8192) as u32,
+        _ => r.next_u32(),
+    }
+}
+
+fn wild_u8(r: &mut Rng) -> u8 {
+    if r.flip() {
+        r.below(256) as u8
+    } else {
+        r.below(40) as u8
+    }
+}
+
+fn any_vreg(r: &mut Rng) -> VReg {
+    VReg::from_bits(r.next_u32())
+}
+
+/// An instruction of any variant whose integer fields take any value
+/// their Rust type holds, encodable or not.
+fn unconstrained_instr(r: &mut Rng) -> Instr {
+    let (rd, rs1, rs2) = (any_reg(r), any_reg(r), any_reg(r));
+    let l = LoopIdx::from_bit(r.next_u32());
+    let fmt = any_fmt(r);
+    let op2 = match r.below(3) {
+        0 => SimdOperand::Vector(rs2),
+        1 => SimdOperand::Scalar(rs2),
+        _ => SimdOperand::Imm(r.next_u32() as i8),
+    };
+    let (offset, imm) = (wild_i32(r), wild_u32(r));
+    let (a, b) = (wild_u8(r), wild_u8(r));
+    match r.below(36) {
+        0 => Instr::Lui { rd, imm },
+        1 => Instr::Auipc { rd, imm },
+        2 => Instr::Jal { rd, offset },
+        3 => Instr::Jalr { rd, rs1, offset },
+        4 => Instr::Branch {
+            cond: *r.choose(&BranchCond::ALL),
+            rs1,
+            rs2,
+            offset,
+        },
+        5 => Instr::Load {
+            kind: *r.choose(&LoadKind::ALL),
+            rd,
+            rs1,
+            offset,
+        },
+        6 => Instr::Store {
+            kind: *r.choose(&StoreKind::ALL),
+            rs1,
+            rs2,
+            offset,
+        },
+        7 => Instr::AluImm {
+            op: *r.choose(&AluOp::ALL),
+            rd,
+            rs1,
+            imm: offset,
+        },
+        8 => Instr::Csr {
+            op: r.below(5) as u8,
+            rd,
+            rs1,
+            csr: r.next_u32() as u16 >> r.below(8),
+        },
+        9 => Instr::PClip { rd, rs1, bits: a },
+        10 => Instr::PClipU { rd, rs1, bits: a },
+        11 => Instr::PExtract {
+            rd,
+            rs1,
+            len: a,
+            off: b,
+        },
+        12 => Instr::PExtractU {
+            rd,
+            rs1,
+            len: a,
+            off: b,
+        },
+        13 => Instr::PInsert {
+            rd,
+            rs1,
+            len: a,
+            off: b,
+        },
+        14 => Instr::LoadPostInc {
+            kind: *r.choose(&LoadKind::ALL),
+            rd,
+            rs1,
+            offset,
+        },
+        15 => Instr::StorePostInc {
+            kind: *r.choose(&StoreKind::ALL),
+            rs1,
+            rs2,
+            offset,
+        },
+        16 => Instr::LpStarti { l, offset },
+        17 => Instr::LpEndi { l, offset },
+        18 => Instr::LpCounti { l, imm },
+        19 => Instr::LpSetup { l, rs1, offset },
+        20 => Instr::LpSetupi { l, imm, offset },
+        21 => Instr::PvAlu {
+            op: *r.choose(&SimdAluOp::ALL),
+            fmt,
+            rd,
+            rs1,
+            op2,
+        },
+        22 => Instr::PvDot {
+            fmt,
+            sign: any_dot_sign(r),
+            rd,
+            rs1,
+            op2,
+        },
+        23 => Instr::PvSdot {
+            fmt,
+            sign: any_dot_sign(r),
+            rd,
+            rs1,
+            op2,
+        },
+        24 => Instr::PvExtract {
+            fmt,
+            rd,
+            rs1,
+            idx: a,
+            signed: r.flip(),
+        },
+        25 => Instr::PvInsert {
+            fmt,
+            rd,
+            rs1,
+            idx: a,
+        },
+        26 => Instr::PvQnt { fmt, rd, rs1, rs2 },
+        27 => Instr::PvShuffle2 { fmt, rd, rs1, rs2 },
+        28 => Instr::VQnt {
+            fmt,
+            vd: any_vreg(r),
+            rs1,
+            vs2: any_vreg(r),
+        },
+        29 => Instr::VSetvli {
+            rd,
+            rs1,
+            sew: *r.choose(&VecSew::ALL),
+        },
+        30 => Instr::VDot {
+            sign: any_dot_sign(r),
+            rd,
+            vs1: any_vreg(r),
+            vs2: any_vreg(r),
+        },
+        31 => Instr::PulpAlu {
+            op: *r.choose(&PulpAluOp::ALL),
+            rd,
+            rs1,
+            rs2,
+        },
+        32 => Instr::StorePostIncReg {
+            kind: *r.choose(&StoreKind::ALL),
+            rs1,
+            rs2,
+            rs3: any_reg(r),
+        },
+        33 => Instr::LoadRegOff {
+            kind: *r.choose(&LoadKind::ALL),
+            rd,
+            rs1,
+            rs2,
+        },
+        34 => Instr::VSlide1 {
+            vd: any_vreg(r),
+            vs2: any_vreg(r),
+            rs1,
+        },
+        _ => Instr::PvAbs { fmt, rd, rs1 },
+    }
+}
+
+/// `validate` accepts exactly what the encoding holds: whenever it
+/// passes, the word decodes back to the same instruction, for field
+/// values drawn from the whole range of their Rust types. (The one
+/// alias, `addi zero, zero, 0`, decodes as the canonical `nop`.)
+#[test]
+fn validate_accepts_only_encodable_values() {
+    let mut r = Rng::new(0x5eed_0008);
+    let mut valid = 0;
+    for case in 0..CASES * 8 {
+        let instr = unconstrained_instr(&mut r);
+        let nop_alias = encode(&instr) == encode(&Instr::Nop);
+        if instr.validate().is_err() || nop_alias {
+            continue;
+        }
+        valid += 1;
+        let word = encode(&instr);
+        assert_eq!(
+            decode(word),
+            Ok(instr),
+            "case {case}: {instr:?} -> {word:#010x}"
+        );
+    }
+    assert!(valid > CASES, "only {valid} valid draws");
+}
+
+/// The mis-assemblies the field checks exist for: each value is one the
+/// encoding would silently drop or truncate.
+#[test]
+fn validate_rejects_values_the_encoding_drops() {
+    let l = LoopIdx::L0;
+    for bad in [
+        Instr::PExtract {
+            rd: Reg::A0,
+            rs1: Reg::A1,
+            len: 44,
+            off: 40,
+        },
+        Instr::LpSetupi {
+            l,
+            imm: 4,
+            offset: 200,
+        },
+        Instr::Branch {
+            cond: BranchCond::Eq,
+            rs1: Reg::A0,
+            rs2: Reg::A1,
+            offset: 5,
+        },
+        Instr::Jal {
+            rd: Reg::Ra,
+            offset: 3,
+        },
+        Instr::LpStarti { l, offset: 3 },
+        Instr::Lui {
+            rd: Reg::A0,
+            imm: 0x801,
+        },
+        Instr::Csr {
+            op: 3,
+            rd: Reg::A0,
+            rs1: Reg::A1,
+            csr: 0,
+        },
+    ] {
+        assert!(
+            matches!(bad.validate(), Err(ValidateError::ImmRange { .. })),
+            "{bad:?}"
+        );
     }
 }
