@@ -10,7 +10,7 @@
 use crate::measure::{measure, Error};
 use crate::report::{Record, Value};
 use pulp_cluster::{ClusterConvTestbench, ClusterError};
-use pulp_kernels::runner::ConvRunResult;
+use pulp_kernels::RunResult;
 use pulp_kernels::{ConvKernelConfig, ConvTestbench, KernelIsa};
 use qnn::BitWidth;
 use riscv_core::FastPathStats;
@@ -265,7 +265,7 @@ impl From<&HostThroughput> for Record {
 /// `fast` — and verifies the output against the golden model. Staging
 /// and verification stay outside the timed span on both paths. The
 /// block-cache counters are all zero for an interpreted run.
-fn timed_run(tb: &ConvTestbench, fast: bool) -> Result<(f64, ConvRunResult, FastPathStats), Error> {
+fn timed_run(tb: &ConvTestbench, fast: bool) -> Result<(f64, RunResult, FastPathStats), Error> {
     let mut soc = tb.stage();
     if fast {
         soc.enable_fastpath();

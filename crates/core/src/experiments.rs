@@ -705,7 +705,8 @@ pub struct PoolingSpeedup {
 ///
 /// Propagates kernel build failures and traps.
 pub fn pooling_speedup() -> Result<PoolingSpeedup, Error> {
-    use pulp_kernels::pool::{PoolKernelConfig, PoolOp, PoolTestbench};
+    use pulp_kernels::pool::{PoolKernelConfig, PoolOp};
+    use pulp_kernels::{Kernel, Testbench};
     use qnn::pool::PoolShape;
     let run = |bits: BitWidth, simd: bool| -> Result<u64, Error> {
         let c = (32 / bits.bits() as usize) * 4;
@@ -721,7 +722,7 @@ pub fn pooling_speedup() -> Result<PoolingSpeedup, Error> {
             op: PoolOp::Max,
             simd,
         };
-        let tb = PoolTestbench::new(cfg, 9).map_err(|e| Error::Build(e.to_string()))?;
+        let tb = Testbench::new(cfg, 9).map_err(|e| Error::Build(e.to_string()))?;
         let r = tb.run().map_err(Error::Trap)?;
         if !r.matches() {
             return Err(Error::Mismatch { config: cfg.name() });

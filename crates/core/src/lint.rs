@@ -15,9 +15,9 @@ use pulp_kernels::depthwise::{build_depthwise_program, DepthwiseKernelConfig};
 use pulp_kernels::descriptors::{encode_descriptors, im2col_descriptors};
 use pulp_kernels::emit::{build_cluster_conv_program, build_conv_program, simd_fmt};
 use pulp_kernels::linear::{build_linear_program, LinearKernelConfig};
-use pulp_kernels::pool::{build_relu_program, PoolKernelConfig, PoolOp, PoolTestbench};
+use pulp_kernels::pool::{build_pool_program, build_relu_program, PoolKernelConfig, PoolOp};
 use pulp_kernels::runner::BuildError;
-use pulp_kernels::{ConvKernelConfig, KernelIsa, LayerLayout, QuantMode};
+use pulp_kernels::{ConvKernelConfig, Kernel, KernelIsa, LayerLayout, QuantMode};
 use pulp_soc::cluster::EU_BARRIER;
 use qnn::conv::ConvShape;
 use qnn::depthwise::DepthwiseShape;
@@ -165,7 +165,7 @@ fn pool_kernel(
     };
     let s = cfg.shape;
     let c_bytes = (s.c * bits.bits() as usize / 8) as u32;
-    let program = PoolTestbench::new(cfg, 0)?.program;
+    let program = build_pool_program(&cfg, layout)?;
     Ok(ShippedKernel {
         name: cfg.name(),
         program,

@@ -42,13 +42,12 @@
 //! # }
 //! ```
 
-use faultsim::{run_armed, ArmConfig, FaultDomain, FaultPlan, MemRegion, TargetSpace};
-use pulp_kernels::depthwise::{DepthwiseKernelConfig, DepthwiseTestbench};
-use pulp_kernels::linear::{LinearKernelConfig, LinearTestbench};
-use pulp_kernels::pool::{PoolKernelConfig, PoolOp, PoolTestbench};
-use pulp_kernels::runner::BuildError;
-use pulp_kernels::{ConvKernelConfig, ConvTestbench, LayerLayout, QuantMode};
-use pulp_soc::{RunReport, Soc};
+use faultsim::{run_armed, ArmConfig, FaultPlan, TargetSpace};
+use pulp_kernels::depthwise::DepthwiseKernelConfig;
+use pulp_kernels::linear::LinearKernelConfig;
+use pulp_kernels::pool::{PoolKernelConfig, PoolOp};
+use pulp_kernels::{BuildError, ConvKernelConfig, ConvTestbench, Kernel, QuantMode, Testbench};
+use pulp_soc::RunReport;
 use qnn::conv::ConvShape;
 use qnn::depthwise::DepthwiseShape;
 use qnn::linear::LinearShape;
@@ -376,108 +375,6 @@ impl fmt::Display for NetworkRun {
     }
 }
 
-/// A staged, runnable layer: testbench plus the activations to feed it.
-enum Bench {
-    Conv(Box<ConvTestbench>),
-    Depthwise(Box<DepthwiseTestbench>, Vec<i16>),
-    Pool(Box<PoolTestbench>, Vec<i16>),
-    Linear(Box<LinearTestbench>, Vec<i16>),
-}
-
-impl Bench {
-    fn stage(&self) -> Result<Soc, BuildError> {
-        match self {
-            Bench::Conv(tb) => Ok(tb.stage()),
-            Bench::Depthwise(tb, input) => tb.stage_with_input(input),
-            Bench::Pool(tb, input) => tb.stage_with_input(input),
-            Bench::Linear(tb, input) => tb.stage_with_input(input),
-        }
-    }
-
-    fn budget(&self) -> u64 {
-        match self {
-            Bench::Conv(tb) => tb.cycle_budget(),
-            Bench::Depthwise(tb, _) => tb.cycle_budget(),
-            Bench::Pool(tb, _) => tb.cycle_budget(),
-            Bench::Linear(tb, _) => tb.cycle_budget(),
-        }
-    }
-
-    /// `(cycles, output, matches-golden)` of a finished staged run.
-    fn collect(&self, soc: &Soc, report: RunReport) -> (u64, Vec<i16>, bool) {
-        match self {
-            Bench::Conv(tb) => {
-                let r = tb.collect(soc, report);
-                (r.cycles(), r.output.clone(), r.matches())
-            }
-            Bench::Depthwise(tb, input) => {
-                let r = tb.collect(soc, report, input);
-                (r.cycles(), r.output.clone(), r.matches())
-            }
-            Bench::Pool(tb, input) => {
-                let r = tb.collect(soc, report, input);
-                (r.cycles(), r.output.clone(), r.matches())
-            }
-            Bench::Linear(tb, input) => {
-                let r = tb.collect(soc, report, input);
-                (r.cycles(), r.output.clone(), r.matches())
-            }
-        }
-    }
-
-    fn golden(&self) -> Vec<i16> {
-        match self {
-            Bench::Conv(tb) => tb.golden(),
-            Bench::Depthwise(tb, input) => tb.golden(input),
-            Bench::Pool(tb, input) => tb.golden(input),
-            Bench::Linear(tb, input) => tb.golden(input),
-        }
-    }
-
-    /// The fault target space of this layer: its tensors at the shared
-    /// [`LayerLayout`] plus the register file, windowed to the
-    /// fault-free runtime.
-    fn target_space(&self, layer: &Layer, clean_cycles: u64) -> TargetSpace {
-        let layout = LayerLayout::default_for_l2();
-        let (in_len, in_bits) = layer.input_spec();
-        let (out_len, out_bits) = layer.output_spec();
-        let bytes =
-            |elems: usize, bits: BitWidth| ((elems * bits.bits() as usize) / 8).max(1) as u32;
-        let mut regions = vec![
-            MemRegion {
-                domain: FaultDomain::DataMemory,
-                base: layout.input,
-                len: bytes(in_len, in_bits),
-            },
-            MemRegion {
-                domain: FaultDomain::DataMemory,
-                base: layout.output,
-                len: bytes(out_len, out_bits),
-            },
-        ];
-        if let Layer::Conv { shape, bits, .. } = layer {
-            regions.push(MemRegion {
-                domain: FaultDomain::DataMemory,
-                base: layout.weights,
-                len: bytes(shape.weight_len(), *bits),
-            });
-            if out_bits.is_sub_byte() {
-                let levels = (1usize << out_bits.bits()) - 1;
-                regions.push(MemRegion {
-                    domain: FaultDomain::ThresholdTree,
-                    base: layout.thresholds,
-                    len: (shape.out_c * levels * 2) as u32,
-                });
-            }
-        }
-        TargetSpace {
-            window: (1, clean_cycles.max(2)),
-            regions,
-            registers: true,
-        }
-    }
-}
-
 impl Network {
     /// Builds a network, checking that every layer's input interface
     /// matches the previous layer's output.
@@ -538,9 +435,9 @@ impl Network {
         let mut runs = Vec::with_capacity(self.layers.len());
 
         for (index, layer) in self.layers.iter().enumerate() {
-            let bench = build_bench(layer, activations.clone(), &mut rng)
-                .map_err(|source| NetworkError::Build { index, source })?;
-            let (cycles, output, outcome) = run_layer(&bench, layer, index, policy)?;
+            let (cycles, output, outcome) =
+                build_and_run(layer, index, activations, &mut rng, policy)
+                    .map_err(|source| NetworkError::Build { index, source })?;
             runs.push(LayerRun {
                 layer: *layer,
                 cycles,
@@ -560,12 +457,18 @@ impl Network {
     }
 }
 
-/// Compiles one layer into a staged bench around `activations`.
-fn build_bench(
+/// Compiles one layer into a testbench around `activations` and runs it
+/// under the policy. Convolutions draw their weights and thresholds
+/// from the network's `rng`; the other kinds keep their testbench's
+/// own seeded weights.
+fn build_and_run(
     layer: &Layer,
+    index: usize,
     activations: QuantTensor,
     rng: &mut TensorRng,
-) -> Result<Bench, BuildError> {
+    policy: &RunPolicy,
+) -> Result<(u64, Vec<i16>, LayerOutcome), BuildError> {
+    const SEED: u64 = 1234;
     Ok(match *layer {
         Layer::Conv {
             shape,
@@ -574,22 +477,19 @@ fn build_bench(
         } => {
             let cfg = ConvKernelConfig::mixed(shape, bits, out_bits);
             let weights = rng.weights(bits, shape.weight_len());
-            let thresholds = if out_bits.is_sub_byte() {
-                Some(rng.thresholds(out_bits, shape.out_c, -1800, 1800))
-            } else {
-                None
-            };
-            Bench::Conv(Box::new(ConvTestbench::from_parts(
-                cfg,
-                activations,
-                weights,
-                thresholds,
-            )?))
+            let thresholds = out_bits
+                .is_sub_byte()
+                .then(|| rng.thresholds(out_bits, shape.out_c, -1800, 1800));
+            let tb = ConvTestbench::from_parts(cfg, activations, Some(weights), thresholds)?;
+            run_layer(&tb, index, policy)
         }
         Layer::Depthwise { shape, shift } => {
             let cfg = DepthwiseKernelConfig { shape, shift };
-            let tb = DepthwiseTestbench::new(cfg, 1234)?;
-            Bench::Depthwise(Box::new(tb), activations.values().to_vec())
+            run_layer(
+                &Testbench::new(cfg, SEED)?.with_input(activations)?,
+                index,
+                policy,
+            )
         }
         Layer::MaxPool { shape, bits } => {
             let cfg = PoolKernelConfig {
@@ -598,8 +498,11 @@ fn build_bench(
                 op: PoolOp::Max,
                 simd: true,
             };
-            let tb = PoolTestbench::new(cfg, 1234)?;
-            Bench::Pool(Box::new(tb), activations.values().to_vec())
+            run_layer(
+                &Testbench::new(cfg, SEED)?.with_input(activations)?,
+                index,
+                policy,
+            )
         }
         Layer::Linear { shape, bits } => {
             let quant = match bits {
@@ -607,8 +510,11 @@ fn build_bench(
                 _ => QuantMode::HardwareQnt,
             };
             let cfg = LinearKernelConfig { shape, bits, quant };
-            let tb = LinearTestbench::new(cfg, 1234)?;
-            Bench::Linear(Box::new(tb), activations.values().to_vec())
+            run_layer(
+                &Testbench::new(cfg, SEED)?.with_input(activations)?,
+                index,
+                policy,
+            )
         }
     })
 }
@@ -616,28 +522,24 @@ fn build_bench(
 /// Executes one layer under the policy. Never returns a trap: detected
 /// failures roll back to the pre-fault checkpoint (bounded by
 /// `max_retries`), then degrade to the golden model.
-fn run_layer(
-    bench: &Bench,
-    layer: &Layer,
+fn run_layer<K: Kernel>(
+    tb: &Testbench<K>,
     index: usize,
     policy: &RunPolicy,
-) -> Result<(u64, Vec<i16>, LayerOutcome), NetworkError> {
-    let build = |source| NetworkError::Build { index, source };
-    let budget = policy.cycle_budget.unwrap_or_else(|| bench.budget());
+) -> (u64, Vec<i16>, LayerOutcome) {
+    let budget = policy.cycle_budget.unwrap_or_else(|| tb.cycle_budget());
 
-    let arming = policy.faults;
-    let (plan, interval) = match arming {
+    let (plan, interval) = match policy.faults {
         None => (FaultPlan::none(), budget),
         Some(fa) => {
             // A clean pre-run bounds the injection window to cycles the
             // kernel actually executes (and doubles as a sanity check
             // that the layer is healthy before faults are armed).
-            let mut soc = bench.stage().map_err(build)?;
-            let clean_cycles = match soc.run(budget) {
+            let clean_cycles = match tb.stage().run(budget) {
                 Ok(r) => r.perf.cycles,
                 Err(_) => budget,
             };
-            let space = bench.target_space(layer, clean_cycles);
+            let space = TargetSpace::layer(tb, &tb.layout, clean_cycles);
             (
                 FaultPlan::generate(
                     fa.seed.wrapping_add(index as u64),
@@ -649,7 +551,7 @@ fn run_layer(
         }
     };
 
-    let mut soc = bench.stage().map_err(build)?;
+    let mut soc = tb.stage();
     let armed = run_armed(
         &mut soc,
         &plan,
@@ -662,12 +564,14 @@ fn run_layer(
     let mut spent = armed.perf.cycles;
     let detection = match armed.exit {
         Ok(exit) => {
-            let report = RunReport {
-                exit,
-                perf: armed.perf,
-            };
-            let (cycles, output, matches) = bench.collect(&soc, report);
-            if matches {
+            let r = tb.collect(
+                &soc,
+                RunReport {
+                    exit,
+                    perf: armed.perf,
+                },
+            );
+            if r.matches() {
                 let outcome = if armed.injections.is_empty() {
                     LayerOutcome::Ok
                 } else {
@@ -675,7 +579,7 @@ fn run_layer(
                         flips: armed.injections.len(),
                     }
                 };
-                return Ok((cycles, output, outcome));
+                return (r.cycles(), r.output, outcome);
             }
             FaultDetection::Sdc
         }
@@ -686,21 +590,18 @@ fn run_layer(
     // first flip and re-run disarmed. Under the transient fault model
     // this deterministic re-execution completes cleanly.
     for attempt in 1..=policy.max_retries {
-        let mut retry = bench.stage().map_err(build)?;
+        let mut retry = tb.stage();
         retry.restore(&armed.pre_fault);
         match retry.run(budget) {
             Ok(report) => {
                 spent += report.perf.cycles;
-                let (_, output, matches) = bench.collect(&retry, report);
-                if matches {
-                    return Ok((
-                        spent,
-                        output,
-                        LayerOutcome::Recovered {
-                            detection,
-                            retries: attempt,
-                        },
-                    ));
+                let r = tb.collect(&retry, report);
+                if r.matches() {
+                    let outcome = LayerOutcome::Recovered {
+                        detection,
+                        retries: attempt,
+                    };
+                    return (spent, r.output, outcome);
                 }
             }
             Err(_) => spent += budget,
@@ -709,7 +610,7 @@ fn run_layer(
 
     // Retries exhausted (or disabled): golden software fallback keeps
     // the inference alive; the degradation is recorded, not raised.
-    Ok((spent, bench.golden(), LayerOutcome::Degraded { detection }))
+    (spent, tb.golden(), LayerOutcome::Degraded { detection })
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 
 use crate::exec::{run_armed, ArmConfig, ArmedRun};
 use crate::plan::{FaultPlan, TargetSpace};
-use pulp_kernels::{ConvKernelConfig, ConvTestbench, KernelIsa, LayerLayout};
+use pulp_kernels::{ConvKernelConfig, ConvTestbench, KernelIsa};
 use qnn::conv::ConvShape;
 use qnn::BitWidth;
 use riscv_core::Trap;
@@ -259,7 +259,7 @@ pub fn run_trial(
     fault_seed: u64,
     trial: u64,
 ) -> Trial {
-    let space = TargetSpace::conv_layer(&variant.cfg, &LayerLayout::default_for_l2(), clean_cycles);
+    let space = TargetSpace::layer(tb, &tb.layout, clean_cycles);
     let plan = FaultPlan::generate(fault_seed, &space, 1);
     let cfg = ArmConfig {
         // Generous slack over the clean runtime: a flip that slows the

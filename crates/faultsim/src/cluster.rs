@@ -16,10 +16,10 @@
 //! complete recovery — checkpoint/rollback at cluster scale.
 
 use crate::campaign::{totals, VariantReport};
-use crate::plan::{FaultEvent, FaultPlan, FaultTarget, MemRegion, TargetSpace};
+use crate::plan::{FaultEvent, FaultPlan, FaultTarget, TargetSpace};
 use crate::FaultClass;
 use pulp_cluster::{ClusterConvTestbench, ClusterError, ClusterSim, ClusterSnapshot};
-use pulp_kernels::ConvKernelConfig;
+use pulp_kernels::{ConvKernelConfig, LayerLayout};
 use std::fmt;
 
 /// One flip as applied to the cluster.
@@ -74,40 +74,15 @@ pub struct ClusterArmedRun {
 /// DMA prologue finishes may be overwritten by the incoming transfer —
 /// exactly as a real pre-staging SRAM strike would be.
 pub fn cluster_target_space(tb: &ClusterConvTestbench, clean_clock: u64) -> TargetSpace {
-    let cfg = &tb.bench.cfg;
     let tcdm = &tb.plan.tcdm;
-    let bytes =
-        |elems: usize, bits: qnn::BitWidth| ((elems * bits.bits() as usize) / 8).max(1) as u32;
-    let mut regions = vec![
-        MemRegion {
-            domain: crate::FaultDomain::DataMemory,
-            base: tcdm.input,
-            len: bytes(cfg.shape.input_len(), cfg.bits),
-        },
-        MemRegion {
-            domain: crate::FaultDomain::DataMemory,
-            base: tcdm.weights,
-            len: bytes(cfg.shape.weight_len(), cfg.bits),
-        },
-        MemRegion {
-            domain: crate::FaultDomain::DataMemory,
-            base: tcdm.output,
-            len: bytes(cfg.shape.output_len(), cfg.out_bits),
-        },
-    ];
-    if cfg.out_bits.is_sub_byte() {
-        let levels = (1usize << cfg.out_bits.bits()) - 1;
-        regions.push(MemRegion {
-            domain: crate::FaultDomain::ThresholdTree,
-            base: tcdm.thresholds,
-            len: (cfg.shape.out_c * levels * 2) as u32,
-        });
-    }
-    TargetSpace {
-        window: (1, clean_clock.max(2)),
-        regions,
-        registers: true,
-    }
+    let at = LayerLayout {
+        input: tcdm.input,
+        weights: tcdm.weights,
+        thresholds: tcdm.thresholds,
+        output: tcdm.output,
+        ..tb.bench.layout
+    };
+    TargetSpace::layer(&tb.bench, &at, clean_clock)
 }
 
 /// Applies one flip to the cluster, recording old and new values.

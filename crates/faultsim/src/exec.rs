@@ -222,7 +222,7 @@ pub fn run_armed(soc: &mut Soc, plan: &FaultPlan, cfg: &ArmConfig) -> ArmedRun {
 mod tests {
     use super::*;
     use crate::plan::{FaultDomain, TargetSpace};
-    use pulp_kernels::{ConvKernelConfig, ConvTestbench, LayerLayout};
+    use pulp_kernels::{ConvKernelConfig, ConvTestbench};
     use qnn::conv::ConvShape;
     use qnn::BitWidth;
 
@@ -284,24 +284,7 @@ mod tests {
     fn injections_are_recorded_and_deterministic() {
         let tb = small_bench();
         let clean = tb.run().expect("clean run").report.perf.cycles;
-        let space = TargetSpace::conv_layer(
-            &ConvKernelConfig::mixed(
-                ConvShape {
-                    in_h: 4,
-                    in_w: 4,
-                    in_c: 16,
-                    out_c: 8,
-                    k_h: 3,
-                    k_w: 3,
-                    stride: 1,
-                    pad: 1,
-                },
-                BitWidth::W4,
-                BitWidth::W4,
-            ),
-            &LayerLayout::default_for_l2(),
-            clean,
-        );
+        let space = TargetSpace::layer(&tb, &tb.layout, clean);
         let plan = FaultPlan::generate(5, &space, 3);
         let run_once = || {
             let mut soc = tb.stage();

@@ -7,7 +7,7 @@
 //! plan: every campaign trial, and every replay of it, is reproducible
 //! from its seed alone.
 
-use pulp_kernels::{ConvKernelConfig, LayerLayout};
+use pulp_kernels::{Kernel, LayerLayout, Testbench};
 use qnn::BitWidth;
 use std::fmt;
 use xrand::Rng;
@@ -120,44 +120,29 @@ pub struct TargetSpace {
 pub const ACCUMULATOR_REGS: [usize; 12] = [8, 9, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27];
 
 impl TargetSpace {
-    /// The target space of one staged convolution layer: its packed
-    /// input, weights and output tensors (plus the threshold trees for
-    /// sub-byte outputs) at the standard [`LayerLayout`], and the
-    /// register file. `clean_cycles` — the layer's fault-free runtime —
-    /// bounds the injection window so every scheduled flip lands while
-    /// the kernel is actually executing.
-    pub fn conv_layer(
-        cfg: &ConvKernelConfig,
-        layout: &LayerLayout,
-        clean_cycles: u64,
-    ) -> TargetSpace {
-        let bytes =
-            |elems: usize, bits: BitWidth| ((elems * bits.bits() as usize) / 8).max(1) as u32;
-        let mut regions = vec![
-            MemRegion {
-                domain: FaultDomain::DataMemory,
-                base: layout.input,
-                len: bytes(cfg.shape.input_len(), cfg.bits),
-            },
-            MemRegion {
-                domain: FaultDomain::DataMemory,
-                base: layout.weights,
-                len: bytes(cfg.shape.weight_len(), cfg.bits),
-            },
-            MemRegion {
-                domain: FaultDomain::DataMemory,
-                base: layout.output,
-                len: bytes(cfg.shape.output_len(), cfg.out_bits),
-            },
-        ];
-        if cfg.out_bits.is_sub_byte() {
+    /// The target space of one staged layer of any kernel kind: the
+    /// register file plus its input, weights and output tensors and its
+    /// threshold trees — whichever the kernel has — at the tensor bases
+    /// of `at` (the testbench's L2 layout, or a cluster's TCDM copies).
+    /// `clean_cycles` — the layer's fault-free runtime — bounds the
+    /// injection window so every scheduled flip lands while the kernel
+    /// is actually executing.
+    pub fn layer<K: Kernel>(tb: &Testbench<K>, at: &LayerLayout, clean_cycles: u64) -> TargetSpace {
+        let data = |base, (elems, bits): (usize, BitWidth)| MemRegion {
+            domain: FaultDomain::DataMemory,
+            base,
+            len: ((elems * bits.bits() as usize) / 8).max(1) as u32,
+        };
+        let mut regions = vec![data(at.input, tb.cfg.input())];
+        regions.extend(tb.cfg.weights().map(|w| data(at.weights, w)));
+        regions.push(data(at.output, tb.cfg.output()));
+        if let Some(t) = tb.thresholds() {
             // One eytzinger tree of (2^bits - 1) i16 thresholds per
-            // output channel.
-            let levels = (1usize << cfg.out_bits.bits()) - 1;
+            // channel.
             regions.push(MemRegion {
                 domain: FaultDomain::ThresholdTree,
-                base: layout.thresholds,
-                len: (cfg.shape.out_c * levels * 2) as u32,
+                base: at.thresholds,
+                len: (t.channels() * t.bits().threshold_count() * 2) as u32,
             });
         }
         TargetSpace {
@@ -242,11 +227,16 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pulp_kernels::KernelIsa;
+    use pulp_kernels::{ConvKernelConfig, ConvTestbench, KernelIsa};
+
+    fn paper_space(bits: BitWidth, hw: bool) -> TargetSpace {
+        let cfg = ConvKernelConfig::paper(bits, KernelIsa::XpulpNN, hw);
+        let tb = ConvTestbench::new(cfg, 42).unwrap();
+        TargetSpace::layer(&tb, &tb.layout, 50_000)
+    }
 
     fn space() -> TargetSpace {
-        let cfg = ConvKernelConfig::paper(BitWidth::W4, KernelIsa::XpulpNN, true);
-        TargetSpace::conv_layer(&cfg, &LayerLayout::default_for_l2(), 50_000)
+        paper_space(BitWidth::W4, true)
     }
 
     #[test]
@@ -295,8 +285,7 @@ mod tests {
             .regions
             .iter()
             .any(|r| r.domain == FaultDomain::ThresholdTree));
-        let cfg8 = ConvKernelConfig::paper(BitWidth::W8, KernelIsa::XpulpNN, false);
-        let s8 = TargetSpace::conv_layer(&cfg8, &LayerLayout::default_for_l2(), 50_000);
+        let s8 = paper_space(BitWidth::W8, false);
         assert!(!s8
             .regions
             .iter()

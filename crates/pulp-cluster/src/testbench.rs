@@ -107,10 +107,8 @@ impl ClusterConvTestbench {
         let l2 = &self.bench.layout;
         let mut mem = ClusterMem::new();
         mem.load(&self.program);
-        mem.write_bytes(l2.input, &self.bench.packed_input());
-        mem.write_bytes(l2.weights, &self.bench.packed_weights());
-        if let Some(image) = self.bench.threshold_image() {
-            mem.write_bytes(l2.thresholds, &image);
+        for (addr, bytes) in self.bench.tensor_images() {
+            mem.write_bytes(addr, &bytes);
         }
         mem.write_bytes(l2.descriptors, &encode_descriptors(&self.plan.descriptors));
         mem.write_bytes(self.plan.l2_param_addr(l2), &self.plan.param_image());
@@ -181,14 +179,11 @@ impl ClusterConvTestbench {
     /// so external drivers (fault injection) can run a staged cluster
     /// themselves and still get a verified result.
     pub fn collect(&self, sim: &ClusterSim) -> ClusterRunResult {
-        let cfg = &self.bench.cfg;
-        let out_len = cfg.shape.output_len();
-        let out_bytes = qnn::tensor::packed_len(cfg.out_bits, out_len);
-        let packed = sim.mem.read_bytes(self.bench.layout.output, out_bytes);
-        let output = qnn::tensor::unpack(cfg.out_bits, false, packed, out_len);
         ClusterRunResult {
             cycles: sim.clock(),
-            output,
+            output: self
+                .bench
+                .read_output(|addr, len| sim.mem.read_bytes(addr, len)),
             golden: self.bench.golden(),
             stats: sim.stats.clone(),
             // Harts start from fresh cores, so totals are run deltas.

@@ -17,19 +17,15 @@
 //!   MobileNet-style networks keep 8-bit activations between the
 //!   sub-byte pointwise stages).
 
-use crate::config::{ConfigError, KernelIsa, QuantMode};
+use crate::config::ConfigError;
 use crate::layout::LayerLayout;
-use crate::runner::BuildError;
+use crate::runner::{BuildError, Kernel};
 use pulp_asm::{Asm, Program};
 use pulp_isa::instr::{Instr, LoadKind};
 use pulp_isa::Reg::*;
-use pulp_soc::{RunReport, Soc};
 use qnn::depthwise::DepthwiseShape;
 use qnn::quantizer::Quantizer;
-use qnn::rng::TensorRng;
-use qnn::tensor::QuantTensor;
 use qnn::BitWidth;
-use riscv_core::{IsaConfig, Trap};
 
 /// A depthwise kernel to generate (8-bit operands and outputs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,14 +73,6 @@ impl DepthwiseKernelConfig {
             });
         }
         Ok(())
-    }
-
-    /// Short name for reports.
-    pub fn name(&self) -> String {
-        format!(
-            "depthwise/{}x{}/c{}",
-            self.shape.k, self.shape.k, self.shape.c
-        )
     }
 }
 
@@ -181,178 +169,66 @@ pub fn pad_input(shape: &DepthwiseShape, values: &[i16]) -> Vec<i16> {
     out
 }
 
-/// Result of a verified depthwise run.
-#[derive(Debug, Clone)]
-pub struct DepthwiseRunResult {
-    /// Exit status + counters.
-    pub report: RunReport,
-    /// Device output.
-    pub output: Vec<i16>,
-    /// Golden output.
-    pub golden: Vec<i16>,
-}
-
-impl DepthwiseRunResult {
-    /// Device output equals the golden model.
-    pub fn matches(&self) -> bool {
-        self.output == self.golden
-    }
-
-    /// Kernel cycles.
-    pub fn cycles(&self) -> u64 {
-        self.report.perf.cycles
-    }
-
-    /// MAC throughput.
-    pub fn macs_per_cycle(&self, cfg: &DepthwiseKernelConfig) -> f64 {
-        cfg.shape.macs() as f64 / self.cycles() as f64
-    }
-}
-
-/// A ready-to-run depthwise layer.
-#[derive(Debug, Clone)]
-pub struct DepthwiseTestbench {
-    /// Configuration.
-    pub cfg: DepthwiseKernelConfig,
-    /// Generated program.
-    pub program: Program,
-    layout: LayerLayout,
-    input: QuantTensor,
-    weights: QuantTensor,
-}
-
-impl DepthwiseTestbench {
-    /// Builds the kernel and deterministic synthetic tensors.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError`] on invalid configurations or emitter bugs.
-    pub fn new(cfg: DepthwiseKernelConfig, seed: u64) -> Result<DepthwiseTestbench, BuildError> {
-        cfg.validate().map_err(BuildError::Config)?;
-        let layout = LayerLayout::default_for_l2();
-        let program = build_depthwise_program(&cfg, &layout)?;
-        let mut rng = TensorRng::new(seed);
-        let input = rng.activations(BitWidth::W8, cfg.shape.input_len());
-        let weights = rng.weights(BitWidth::W8, cfg.shape.weight_len());
-        Ok(DepthwiseTestbench {
-            cfg,
-            program,
-            layout,
-            input,
-            weights,
-        })
-    }
-
-    /// The watchdog budget [`DepthwiseTestbench::run`] applies.
-    pub fn cycle_budget(&self) -> u64 {
-        100_000_000
-    }
-
-    /// Runs and verifies against [`qnn::depthwise::depthwise_quantized`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator traps.
-    pub fn run(&self) -> Result<DepthwiseRunResult, Trap> {
-        match self.run_with_input(self.input.values()) {
-            Ok(r) => Ok(r),
-            Err(BuildError::Trap(t)) => Err(t),
-            // The testbench's own tensors always fit the configuration.
-            Err(e) => unreachable!("self-generated tensors rejected: {e}"),
-        }
-    }
-
-    /// Loads the program, the pre-padded caller-supplied activations and
-    /// the weights into a fresh SoC, ready to run.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::Tensor`] if `input` has the wrong length or
-    /// out-of-range values.
-    pub fn stage_with_input(&self, input: &[i16]) -> Result<Soc, BuildError> {
-        if input.len() != self.cfg.shape.input_len() {
-            return Err(BuildError::Tensor {
-                what: "input length mismatch",
-            });
-        }
-        if !input.iter().all(|&v| (0..=255).contains(&v)) {
-            return Err(BuildError::Tensor {
-                what: "depthwise inputs are unsigned 8-bit",
-            });
-        }
-        let mut soc = Soc::new(IsaConfig::xpulpnn());
-        soc.load(&self.program);
-        let padded = pad_input(&self.cfg.shape, input);
-        let padded_bytes: Vec<u8> = padded.iter().map(|&v| v as u8).collect();
-        soc.mem.write_bytes(self.layout.input, &padded_bytes);
-        soc.mem
-            .write_bytes(self.layout.weights, &self.weights.pack());
-        Ok(soc)
-    }
-
-    /// Unpacks the device output of a staged run and pairs it with the
-    /// golden model for `input`.
-    pub fn collect(&self, soc: &Soc, report: RunReport, input: &[i16]) -> DepthwiseRunResult {
-        let out_len = self.cfg.shape.output_len();
-        let output: Vec<i16> = soc
-            .mem
-            .read_bytes(self.layout.output, out_len)
-            .iter()
-            .map(|&b| b as i16)
-            .collect();
-        DepthwiseRunResult {
-            report,
-            output,
-            golden: self.golden(input),
-        }
-    }
-
-    /// The golden software-model output for `input`.
-    pub fn golden(&self, input: &[i16]) -> Vec<i16> {
-        let quantizer = Quantizer::Shift8 {
-            shift: self.cfg.shift,
-            bias: vec![],
-        };
-        qnn::depthwise::depthwise_quantized(
-            &self.cfg.shape,
-            input,
-            self.weights.values(),
-            &quantizer,
+impl Kernel for DepthwiseKernelConfig {
+    fn name(&self) -> String {
+        format!(
+            "depthwise/{}x{}/c{}",
+            self.shape.k, self.shape.k, self.shape.c
         )
     }
 
-    /// Runs with caller-supplied activations (same weights), e.g. to
-    /// chain layers in a network.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::Tensor`] for unusable inputs; [`BuildError::Trap`]
-    /// for simulator traps.
-    pub fn run_with_input(&self, input: &[i16]) -> Result<DepthwiseRunResult, BuildError> {
-        let mut soc = self.stage_with_input(input)?;
-        let report = soc.run(self.cycle_budget()).map_err(BuildError::Trap)?;
-        Ok(self.collect(&soc, report, input))
+    fn build(&self, layout: &LayerLayout) -> Result<Program, BuildError> {
+        build_depthwise_program(self, layout)
     }
-}
 
-/// The ISA this kernel runs on — XpulpV2 suffices (scalar MACs only);
-/// exposed for symmetry with the other testbenches.
-pub fn required_isa() -> KernelIsa {
-    KernelIsa::XpulpV2
-}
+    fn cycle_budget(&self) -> u64 {
+        100_000_000
+    }
 
-/// The quantization mode the kernel hard-codes.
-pub fn quant_mode(cfg: &DepthwiseKernelConfig) -> QuantMode {
-    QuantMode::Shift8 { shift: cfg.shift }
+    fn macs(&self) -> u64 {
+        self.shape.macs()
+    }
+
+    fn input(&self) -> (usize, BitWidth) {
+        (self.shape.input_len(), BitWidth::W8)
+    }
+
+    fn weights(&self) -> Option<(usize, BitWidth)> {
+        Some((self.shape.weight_len(), BitWidth::W8))
+    }
+
+    fn output(&self) -> (usize, BitWidth) {
+        (self.shape.output_len(), BitWidth::W8)
+    }
+
+    fn thresholds(&self) -> Option<(BitWidth, usize, i16)> {
+        None
+    }
+
+    fn shift(&self) -> u32 {
+        self.shift
+    }
+
+    /// The pre-padded input, one byte per activation.
+    fn input_image(&self, input: &[i16]) -> Vec<u8> {
+        pad_input(&self.shape, input)
+            .iter()
+            .map(|&v| v as u8)
+            .collect()
+    }
+
+    fn golden(&self, input: &[i16], weights: &[i16], quantizer: &Quantizer) -> Vec<i16> {
+        qnn::depthwise::depthwise_quantized(&self.shape, input, weights, quantizer)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{RunResult, Testbench};
 
-    fn check(cfg: DepthwiseKernelConfig, seed: u64) -> DepthwiseRunResult {
-        let tb =
-            DepthwiseTestbench::new(cfg, seed).unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
+    fn check(cfg: DepthwiseKernelConfig, seed: u64) -> RunResult {
+        let tb = Testbench::new(cfg, seed).unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
         let r = tb.run().unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
         assert!(r.report.exit.halted);
         assert!(

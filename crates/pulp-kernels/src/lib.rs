@@ -29,9 +29,13 @@
 //! unpack-to-8-bit into this copy, exactly as PULP-NN's `im2col_u4_to_u8`
 //! does.
 //!
-//! Start from [`ConvKernelConfig`] and [`runner::ConvTestbench`]; the
-//! tests in this crate verify every variant bit-exactly against the
-//! golden [`qnn::conv`] models.
+//! Depthwise, pooling and linear kernels sit beside the convolutions.
+//! Every kind's configuration implements [`Kernel`], and one
+//! [`Testbench`] drives them all: it stages each tensor in L2 in its
+//! kind's byte format, runs the kernel, reads the output back and
+//! verifies it bit-exactly against the golden [`qnn`] model. Start
+//! from [`ConvKernelConfig`] and [`ConvTestbench`]
+//! (`Testbench<ConvKernelConfig>`).
 
 pub mod cluster;
 pub mod config;
@@ -45,4 +49,4 @@ pub mod runner;
 
 pub use config::{ConvKernelConfig, KernelIsa, QuantMode};
 pub use layout::LayerLayout;
-pub use runner::{BuildError, ConvRunResult, ConvTestbench};
+pub use runner::{BuildError, ConvTestbench, Kernel, RunResult, Testbench};

@@ -8,19 +8,15 @@ use crate::config::{ConfigError, KernelIsa, QuantMode};
 use crate::emit::quant::emit_sw_tree_walk;
 use crate::emit::simd_fmt;
 use crate::layout::LayerLayout;
-use crate::runner::BuildError;
+use crate::runner::{BuildError, Kernel};
 use pulp_asm::{Asm, Program};
 use pulp_isa::instr::{Instr, LoopIdx};
 use pulp_isa::simd::DotSign;
 use pulp_isa::Reg::*;
-use pulp_soc::{RunReport, Soc};
 use qnn::linear::LinearShape;
-use qnn::quantizer::{Quantizer, ThresholdSet};
-use qnn::rng::TensorRng;
-use qnn::tensor::QuantTensor;
+use qnn::quantizer::Quantizer;
 use qnn::BitWidth;
-use riscv_core::quant::{eytzinger, tree_stride};
-use riscv_core::{IsaConfig, Trap};
+use riscv_core::quant::tree_stride;
 
 /// A linear-layer kernel to generate (native packed SIMD; sub-byte
 /// widths require the XpulpNN core, as in the convolution kernels).
@@ -87,11 +83,6 @@ impl LinearKernelConfig {
             });
         }
         Ok(())
-    }
-
-    /// Short name for reports.
-    pub fn name(&self) -> String {
-        format!("linear/{}/{}", self.bits, self.quant)
     }
 }
 
@@ -222,182 +213,63 @@ pub fn build_linear_program(
     a.assemble().map_err(BuildError::Asm)
 }
 
-/// Result of a verified linear run.
-#[derive(Debug, Clone)]
-pub struct LinearRunResult {
-    /// Exit status + counters.
-    pub report: RunReport,
-    /// Device output (logical values).
-    pub output: Vec<i16>,
-    /// Golden output.
-    pub golden: Vec<i16>,
-}
-
-impl LinearRunResult {
-    /// Device output equals the golden model.
-    pub fn matches(&self) -> bool {
-        self.output == self.golden
+impl Kernel for LinearKernelConfig {
+    fn name(&self) -> String {
+        format!("linear/{}/{}", self.bits, self.quant)
     }
 
-    /// Kernel cycles.
-    pub fn cycles(&self) -> u64 {
-        self.report.perf.cycles
-    }
-}
-
-/// A ready-to-run linear layer with synthetic tensors.
-#[derive(Debug, Clone)]
-pub struct LinearTestbench {
-    /// Configuration.
-    pub cfg: LinearKernelConfig,
-    /// Generated program.
-    pub program: Program,
-    layout: LayerLayout,
-    input: QuantTensor,
-    weights: QuantTensor,
-    thresholds: Option<ThresholdSet>,
-    quantizer: Quantizer,
-}
-
-impl LinearTestbench {
-    /// Builds the kernel and deterministic synthetic tensors.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError`] on invalid configurations or emitter bugs.
-    pub fn new(cfg: LinearKernelConfig, seed: u64) -> Result<LinearTestbench, BuildError> {
-        cfg.validate().map_err(BuildError::Config)?;
-        let layout = LayerLayout::default_for_l2();
-        let program = build_linear_program(&cfg, &layout)?;
-        let mut rng = TensorRng::new(seed);
-        let input = rng.activations(cfg.bits, cfg.shape.in_features);
-        let weights = rng.weights(cfg.bits, cfg.shape.weight_len());
-        let (thresholds, quantizer) = match cfg.quant {
-            QuantMode::Shift8 { shift } => (
-                None,
-                Quantizer::Shift8 {
-                    shift,
-                    bias: vec![],
-                },
-            ),
-            _ => {
-                let t = rng.thresholds(cfg.bits, cfg.shape.out_features, -1200, 1200);
-                (Some(t.clone()), Quantizer::Thresholds(t))
-            }
-        };
-        Ok(LinearTestbench {
-            cfg,
-            program,
-            layout,
-            input,
-            weights,
-            thresholds,
-            quantizer,
-        })
+    fn build(&self, layout: &LayerLayout) -> Result<Program, BuildError> {
+        build_linear_program(self, layout)
     }
 
-    /// The watchdog budget [`LinearTestbench::run`] applies.
-    pub fn cycle_budget(&self) -> u64 {
+    fn cycle_budget(&self) -> u64 {
         50_000_000
     }
 
-    /// Runs and verifies against [`qnn::linear::linear_quantized`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator traps.
-    pub fn run(&self) -> Result<LinearRunResult, Trap> {
-        match self.run_with_input(self.input.values()) {
-            Ok(r) => Ok(r),
-            Err(BuildError::Trap(t)) => Err(t),
-            // The testbench's own tensors always fit the configuration.
-            Err(e) => unreachable!("self-generated tensors rejected: {e}"),
-        }
+    fn macs(&self) -> u64 {
+        self.shape.macs()
     }
 
-    /// Loads the program, caller-supplied activations, weights and
-    /// threshold trees into a fresh SoC, ready to run.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::Tensor`] if `input` has the wrong length or
-    /// out-of-range values.
-    pub fn stage_with_input(&self, input: &[i16]) -> Result<Soc, BuildError> {
-        if input.len() != self.cfg.shape.in_features {
-            return Err(BuildError::Tensor {
-                what: "input length mismatch",
-            });
-        }
-        let tensor = QuantTensor::activations(self.cfg.bits, input.to_vec()).map_err(|_| {
-            BuildError::Tensor {
-                what: "input outside the activation range",
-            }
-        })?;
-        let mut soc = Soc::new(IsaConfig::xpulpnn());
-        soc.load(&self.program);
-        soc.mem.write_bytes(self.layout.input, &tensor.pack());
-        soc.mem
-            .write_bytes(self.layout.weights, &self.weights.pack());
-        if let Some(t) = &self.thresholds {
-            let stride = tree_stride(simd_fmt(self.cfg.bits));
-            for ch in 0..t.channels() {
-                let bytes: Vec<u8> = eytzinger(t.channel(ch))
-                    .iter()
-                    .flat_map(|v| v.to_le_bytes())
-                    .collect();
-                soc.mem
-                    .write_bytes(self.layout.thresholds + ch as u32 * stride, &bytes);
+    fn input(&self) -> (usize, BitWidth) {
+        (self.shape.in_features, self.bits)
+    }
+
+    fn weights(&self) -> Option<(usize, BitWidth)> {
+        Some((self.shape.weight_len(), self.bits))
+    }
+
+    fn output(&self) -> (usize, BitWidth) {
+        (self.shape.out_features, self.bits)
+    }
+
+    fn thresholds(&self) -> Option<(BitWidth, usize, i16)> {
+        match self.quant {
+            QuantMode::Shift8 { .. } => None,
+            QuantMode::SoftwareTree | QuantMode::HardwareQnt => {
+                Some((self.bits, self.shape.out_features, 1200))
             }
         }
-        Ok(soc)
     }
 
-    /// Unpacks the device output of a staged run and pairs it with the
-    /// golden model for `input`.
-    pub fn collect(&self, soc: &Soc, report: RunReport, input: &[i16]) -> LinearRunResult {
-        let out_len = self.cfg.shape.out_features;
-        let packed = soc.mem.read_bytes(
-            self.layout.output,
-            qnn::tensor::packed_len(self.cfg.bits, out_len),
-        );
-        let output = qnn::tensor::unpack(self.cfg.bits, false, packed, out_len);
-        let golden = self.golden(input);
-        LinearRunResult {
-            report,
-            output,
-            golden,
+    fn shift(&self) -> u32 {
+        match self.quant {
+            QuantMode::Shift8 { shift } => shift,
+            QuantMode::SoftwareTree | QuantMode::HardwareQnt => 0,
         }
     }
 
-    /// The golden software-model output for `input`.
-    pub fn golden(&self, input: &[i16]) -> Vec<i16> {
-        qnn::linear::linear_quantized(
-            &self.cfg.shape,
-            input,
-            self.weights.values(),
-            &self.quantizer,
-        )
-    }
-
-    /// Runs with caller-supplied activations, e.g. to chain layers.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::Tensor`] for unusable inputs; [`BuildError::Trap`]
-    /// for simulator traps.
-    pub fn run_with_input(&self, input: &[i16]) -> Result<LinearRunResult, BuildError> {
-        let mut soc = self.stage_with_input(input)?;
-        let report = soc.run(self.cycle_budget()).map_err(BuildError::Trap)?;
-        Ok(self.collect(&soc, report, input))
+    fn golden(&self, input: &[i16], weights: &[i16], quantizer: &Quantizer) -> Vec<i16> {
+        qnn::linear::linear_quantized(&self.shape, input, weights, quantizer)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{RunResult, Testbench};
 
-    fn check(cfg: LinearKernelConfig, seed: u64) -> LinearRunResult {
-        let tb = LinearTestbench::new(cfg, seed).unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
+    fn check(cfg: LinearKernelConfig, seed: u64) -> RunResult {
+        let tb = Testbench::new(cfg, seed).unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
         let r = tb.run().unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
         assert!(r.report.exit.halted);
         assert!(

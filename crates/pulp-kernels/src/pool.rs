@@ -16,16 +16,13 @@
 
 use crate::config::ConfigError;
 use crate::layout::LayerLayout;
-use crate::runner::BuildError;
+use crate::runner::{BuildError, Kernel};
 use pulp_asm::{Asm, Program};
 use pulp_isa::instr::{Instr, LoopIdx, SimdAluOp, SimdOperand};
 use pulp_isa::Reg::{self, *};
-use pulp_soc::{RunReport, Soc};
 use qnn::pool::PoolShape;
-use qnn::rng::TensorRng;
-use qnn::tensor::QuantTensor;
+use qnn::quantizer::Quantizer;
 use qnn::BitWidth;
-use riscv_core::{IsaConfig, Trap};
 use std::fmt;
 
 /// Which pooling operation to generate.
@@ -100,12 +97,6 @@ impl PoolKernelConfig {
             });
         }
         Ok(())
-    }
-
-    /// Short name for reports.
-    pub fn name(&self) -> String {
-        let kind = if self.simd { "simd" } else { "scalar" };
-        format!("{}/{}/{}", self.op, self.bits, kind)
     }
 }
 
@@ -322,191 +313,91 @@ pub fn build_relu_program(len: usize, layout: &LayerLayout) -> Result<Program, p
     a.assemble()
 }
 
-/// Runs the ReLU kernel on synthetic signed 8-bit data and verifies it
-/// against [`qnn::pool::relu`].
+/// Builds the pooling program: the SIMD kernel over the packed tensor,
+/// or the scalar baseline over the 8-bit-unpacked one.
 ///
 /// # Errors
 ///
-/// Build errors or simulator traps.
-pub fn run_relu(len: usize, seed: u64) -> Result<PoolRunResult, BuildError> {
-    let layout = LayerLayout::default_for_l2();
-    let program = build_relu_program(len, &layout).map_err(BuildError::Asm)?;
-    let mut rng = TensorRng::new(seed);
-    let input = rng.weights(BitWidth::W8, len); // signed bytes
-    let mut soc = Soc::new(IsaConfig::xpulpnn());
-    soc.load(&program);
-    soc.mem.write_bytes(layout.input, &input.pack());
-    let report = soc.run(10_000_000).map_err(BuildError::Trap)?;
-    let packed = soc.mem.read_bytes(layout.output, len);
-    let output: Vec<i16> = packed.iter().map(|&b| b as i8 as i16).collect();
-    let golden = qnn::pool::relu(input.values());
-    Ok(PoolRunResult {
-        report,
-        output,
-        golden,
-    })
+/// [`BuildError::Config`] on invalid configurations;
+/// [`BuildError::Asm`] for assembler failures (generator bugs).
+pub fn build_pool_program(
+    cfg: &PoolKernelConfig,
+    layout: &LayerLayout,
+) -> Result<Program, BuildError> {
+    cfg.validate().map_err(BuildError::Config)?;
+    if cfg.simd {
+        build_simd_pool(cfg, layout)
+    } else {
+        build_scalar_pool(cfg, layout)
+    }
+    .map_err(BuildError::Asm)
 }
 
-/// Result of a verified pooling run.
-#[derive(Debug, Clone)]
-pub struct PoolRunResult {
-    /// Exit status + counters.
-    pub report: RunReport,
-    /// Device output (logical values).
-    pub output: Vec<i16>,
-    /// Golden output.
-    pub golden: Vec<i16>,
-}
-
-impl PoolRunResult {
-    /// Device output equals the golden model.
-    pub fn matches(&self) -> bool {
-        self.output == self.golden
+impl Kernel for PoolKernelConfig {
+    fn name(&self) -> String {
+        let kind = if self.simd { "simd" } else { "scalar" };
+        format!("{}/{}/{}", self.op, self.bits, kind)
     }
 
-    /// Kernel cycles.
-    pub fn cycles(&self) -> u64 {
-        self.report.perf.cycles
-    }
-}
-
-/// A ready-to-run pooling layer.
-#[derive(Debug, Clone)]
-pub struct PoolTestbench {
-    /// Configuration.
-    pub cfg: PoolKernelConfig,
-    /// The generated program.
-    pub program: Program,
-    layout: LayerLayout,
-    input: QuantTensor,
-}
-
-impl PoolTestbench {
-    /// Builds the kernel and a deterministic synthetic input.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError`] on invalid configuration or emitter bugs.
-    pub fn new(cfg: PoolKernelConfig, seed: u64) -> Result<PoolTestbench, BuildError> {
-        cfg.validate().map_err(BuildError::Config)?;
-        let layout = LayerLayout::default_for_l2();
-        let program = if cfg.simd {
-            build_simd_pool(&cfg, &layout)
-        } else {
-            build_scalar_pool(&cfg, &layout)
-        }
-        .map_err(BuildError::Asm)?;
-        let mut rng = TensorRng::new(seed);
-        let input = rng.activations(cfg.bits, cfg.shape.input_len());
-        Ok(PoolTestbench {
-            cfg,
-            program,
-            layout,
-            input,
-        })
+    fn build(&self, layout: &LayerLayout) -> Result<Program, BuildError> {
+        build_pool_program(self, layout)
     }
 
-    /// The watchdog budget [`PoolTestbench::run`] applies.
-    pub fn cycle_budget(&self) -> u64 {
+    fn cycle_budget(&self) -> u64 {
         50_000_000
     }
 
-    /// Runs the kernel and verifies against the golden model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator traps.
-    pub fn run(&self) -> Result<PoolRunResult, Trap> {
-        match self.run_with_input(self.input.values()) {
-            Ok(r) => Ok(r),
-            Err(BuildError::Trap(t)) => Err(t),
-            // The testbench's own tensors always fit the configuration.
-            Err(e) => unreachable!("self-generated tensors rejected: {e}"),
-        }
+    fn macs(&self) -> u64 {
+        0
     }
 
-    /// Loads the program and caller-supplied activations into a fresh
-    /// SoC, ready to run.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::Tensor`] if `input` has the wrong length or
-    /// out-of-range values.
-    pub fn stage_with_input(&self, input: &[i16]) -> Result<Soc, BuildError> {
-        if input.len() != self.cfg.shape.input_len() {
-            return Err(BuildError::Tensor {
-                what: "input length mismatch",
-            });
-        }
-        let tensor = QuantTensor::activations(self.cfg.bits, input.to_vec()).map_err(|_| {
-            BuildError::Tensor {
-                what: "input outside the activation range",
-            }
-        })?;
-        let mut soc = Soc::new(IsaConfig::xpulpnn());
-        soc.load(&self.program);
-        // SIMD kernels read the packed tensor; the scalar baseline reads
-        // it unpacked to one byte per element.
-        let bytes = if self.cfg.simd {
-            tensor.pack()
+    fn input(&self) -> (usize, BitWidth) {
+        (self.shape.input_len(), self.bits)
+    }
+
+    fn weights(&self) -> Option<(usize, BitWidth)> {
+        None
+    }
+
+    /// SIMD kernels write the packed tensor; the scalar baseline one
+    /// byte per element.
+    fn output(&self) -> (usize, BitWidth) {
+        let bits = if self.simd { self.bits } else { BitWidth::W8 };
+        (self.shape.output_len(), bits)
+    }
+
+    fn thresholds(&self) -> Option<(BitWidth, usize, i16)> {
+        None
+    }
+
+    /// SIMD kernels read the packed tensor; the scalar baseline reads
+    /// it unpacked to one byte per element.
+    fn input_image(&self, input: &[i16]) -> Vec<u8> {
+        if self.simd {
+            qnn::tensor::pack(self.bits, input)
         } else {
-            tensor.values().iter().map(|&v| v as u8).collect()
-        };
-        soc.mem.write_bytes(self.layout.input, &bytes);
-        Ok(soc)
-    }
-
-    /// Unpacks the device output of a staged run and pairs it with the
-    /// golden model for `input`.
-    pub fn collect(&self, soc: &Soc, report: RunReport, input: &[i16]) -> PoolRunResult {
-        let out_len = self.cfg.shape.output_len();
-        let output = if self.cfg.simd {
-            let packed = soc.mem.read_bytes(
-                self.layout.output,
-                qnn::tensor::packed_len(self.cfg.bits, out_len),
-            );
-            qnn::tensor::unpack(self.cfg.bits, false, packed, out_len)
-        } else {
-            soc.mem
-                .read_bytes(self.layout.output, out_len)
-                .iter()
-                .map(|&b| b as i16)
-                .collect()
-        };
-        PoolRunResult {
-            report,
-            output,
-            golden: self.golden(input),
+            input.iter().map(|&v| v as u8).collect()
         }
     }
 
-    /// The golden software-model output for `input`.
-    pub fn golden(&self, input: &[i16]) -> Vec<i16> {
-        match (self.cfg.op, self.cfg.simd) {
-            (PoolOp::Max, _) => qnn::pool::maxpool(&self.cfg.shape, input),
+    fn golden(&self, input: &[i16], _weights: &[i16], _quantizer: &Quantizer) -> Vec<i16> {
+        match (self.op, self.simd) {
+            (PoolOp::Max, _) => qnn::pool::maxpool(&self.shape, input),
             // The SIMD kernel averages pairwise (pv.avgu cascade); the
             // scalar baseline accumulates and shifts (exact sum/4).
-            (PoolOp::Avg2x2, true) => qnn::pool::avgpool_2x2_cascaded(&self.cfg.shape, input),
-            (PoolOp::Avg2x2, false) => qnn::pool::avgpool(&self.cfg.shape, input),
+            (PoolOp::Avg2x2, true) => qnn::pool::avgpool_2x2_cascaded(&self.shape, input),
+            (PoolOp::Avg2x2, false) => qnn::pool::avgpool(&self.shape, input),
         }
-    }
-
-    /// Runs with caller-supplied activations, e.g. to chain layers.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::Tensor`] for unusable inputs; [`BuildError::Trap`]
-    /// for simulator traps.
-    pub fn run_with_input(&self, input: &[i16]) -> Result<PoolRunResult, BuildError> {
-        let mut soc = self.stage_with_input(input)?;
-        let report = soc.run(self.cycle_budget()).map_err(BuildError::Trap)?;
-        Ok(self.collect(&soc, report, input))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{RunResult, Testbench};
+    use pulp_soc::Soc;
+    use qnn::rng::TensorRng;
+    use riscv_core::IsaConfig;
 
     fn shape(c: usize) -> PoolShape {
         PoolShape {
@@ -518,8 +409,8 @@ mod tests {
         }
     }
 
-    fn check(cfg: PoolKernelConfig, seed: u64) -> PoolRunResult {
-        let tb = PoolTestbench::new(cfg, seed).unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
+    fn check(cfg: PoolKernelConfig, seed: u64) -> RunResult {
+        let tb = Testbench::new(cfg, seed).unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
         let r = tb.run().unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
         assert!(r.report.exit.halted, "{}", cfg.name());
         if !r.matches() {
@@ -655,11 +546,19 @@ mod tests {
 
     #[test]
     fn relu_kernel_matches_golden() {
-        let r = run_relu(256, 31).unwrap();
-        assert!(r.matches());
+        let len = 256;
+        let layout = LayerLayout::default_for_l2();
+        let input = TensorRng::new(31).weights(BitWidth::W8, len); // signed bytes
+        let mut soc = Soc::new(IsaConfig::xpulpnn());
+        soc.load(&build_relu_program(len, &layout).unwrap());
+        soc.mem.write_bytes(layout.input, &input.pack());
+        let report = soc.run(10_000_000).unwrap();
+        let packed = soc.mem.read_bytes(layout.output, len);
+        let output = qnn::tensor::unpack(BitWidth::W8, true, packed, len);
+        assert_eq!(output, qnn::pool::relu(input.values()));
         // One word per 4 elements, 3 instructions per word, zero loop
         // overhead: ~3 cycles per word plus prologue.
-        assert!(r.cycles() < (256 / 4 * 3 + 20) as u64);
+        assert!(report.perf.cycles < (len / 4 * 3 + 20) as u64);
     }
 
     #[test]
@@ -671,7 +570,7 @@ mod tests {
             simd: true,
         };
         assert!(matches!(
-            PoolTestbench::new(cfg, 0),
+            Testbench::new(cfg, 0),
             Err(BuildError::Config(ConfigError::ChannelAlignment { .. }))
         ));
     }

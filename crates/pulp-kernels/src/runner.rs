@@ -1,16 +1,23 @@
-//! Host-side testbench: generates a layer's tensors, builds the kernel,
-//! loads the SoC, runs, and checks the device output against the golden
-//! model.
+//! Host-side testbench, one for every kernel kind: generates a layer's
+//! tensors, builds the kernel, stages the SoC, runs, and checks the
+//! device output against the golden model.
+//!
+//! A kind (convolution, depthwise, pooling, linear) is a [`Kernel`]: it
+//! supplies its program, tensor shapes, L2 byte formats, golden model,
+//! ISA and watchdog budget. [`Testbench`] owns everything else — where
+//! each tensor lives in L2 and in what bytes, how the output is read
+//! back, verification and forensics — once for all kinds.
 
 use crate::config::{ConvKernelConfig, KernelIsa, QuantMode};
 use crate::descriptors::{encode_descriptors, im2col_descriptors};
-use crate::emit::build_conv_program;
+use crate::emit::{build_conv_program, simd_fmt};
 use crate::layout::LayerLayout;
 use pulp_asm::{AsmError, Program};
 use pulp_soc::{RunReport, Soc};
 use qnn::quantizer::{Quantizer, ThresholdSet};
 use qnn::rng::TensorRng;
 use qnn::tensor::QuantTensor;
+use qnn::BitWidth;
 use riscv_core::quant::{eytzinger, tree_stride};
 use riscv_core::{IsaConfig, Trap};
 use std::fmt;
@@ -46,14 +53,77 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+/// What one kernel kind supplies to the shared [`Testbench`].
+pub trait Kernel: Copy + fmt::Debug {
+    /// Short name for reports.
+    fn name(&self) -> String;
+
+    /// Validates the configuration and generates the program.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::Config`] on invalid configurations;
+    /// [`BuildError::Asm`] for assembler failures (generator bugs).
+    fn build(&self, layout: &LayerLayout) -> Result<Program, BuildError>;
+
+    /// The core the kernel runs on.
+    fn isa(&self) -> KernelIsa {
+        KernelIsa::XpulpNN
+    }
+
+    /// The watchdog budget: generous, so exhausting it means a runaway
+    /// kernel, not a slow one.
+    fn cycle_budget(&self) -> u64;
+
+    /// Multiply-accumulates per run (pooling counts zero).
+    fn macs(&self) -> u64;
+
+    /// Input activations: element count and width.
+    fn input(&self) -> (usize, BitWidth);
+
+    /// Signed weights, if the kernel has any: element count and width,
+    /// packed at `layout.weights`.
+    fn weights(&self) -> Option<(usize, BitWidth)>;
+
+    /// Output: element count and the width each element occupies
+    /// packed at `layout.output` (read back zero-extended).
+    fn output(&self) -> (usize, BitWidth);
+
+    /// Threshold sets the kernel re-quantizes with — width, channels,
+    /// and the bound `b` a synthetic set is drawn from (`[-b, b]`) —
+    /// or `None` for shift+clamp kernels and pooling.
+    fn thresholds(&self) -> Option<(BitWidth, usize, i16)>;
+
+    /// Right-shift of shift+clamp re-quantization; unused when the
+    /// kernel takes thresholds or does not re-quantize.
+    fn shift(&self) -> u32 {
+        0
+    }
+
+    /// The input's L2 image at `layout.input` (default: packed).
+    fn input_image(&self, input: &[i16]) -> Vec<u8> {
+        qnn::tensor::pack(self.input().1, input)
+    }
+
+    /// Host-computed tables the program reads besides the tensors, as
+    /// `(address, bytes)`.
+    fn tables(&self, _layout: &LayerLayout) -> Vec<(u32, Vec<u8>)> {
+        Vec::new()
+    }
+
+    /// The golden software model (`weights` is empty without a weight
+    /// tensor).
+    fn golden(&self, input: &[i16], weights: &[i16], quantizer: &Quantizer) -> Vec<i16>;
+}
+
 /// Result of one verified kernel run.
 #[derive(Debug, Clone)]
-pub struct ConvRunResult {
+pub struct RunResult {
     /// Exit status and performance counters.
     pub report: RunReport,
     /// Device output, unpacked to logical values.
     pub output: Vec<i16>,
-    /// Golden output from [`qnn::conv::conv2d_quantized`].
+    /// Golden output from the kernel's software model.
     pub golden: Vec<i16>,
     /// Forensic tail of the instruction stream, captured by a traced
     /// re-run when the output mismatches the golden model (`None` on a
@@ -61,7 +131,7 @@ pub struct ConvRunResult {
     pub trace: Option<String>,
 }
 
-impl ConvRunResult {
+impl RunResult {
     /// True when the device output matches the golden model bit-exactly.
     pub fn matches(&self) -> bool {
         self.output == self.golden
@@ -74,65 +144,57 @@ impl ConvRunResult {
 
     /// Multiply-accumulates per cycle achieved by the kernel; 0 when no
     /// cycles were recorded (e.g. an immediately-trapping run).
-    pub fn macs_per_cycle(&self, cfg: &ConvKernelConfig) -> f64 {
+    pub fn macs_per_cycle(&self, cfg: &impl Kernel) -> f64 {
         if self.report.perf.cycles == 0 {
             0.0
         } else {
-            cfg.shape.macs() as f64 / self.report.perf.cycles as f64
+            cfg.macs() as f64 / self.report.perf.cycles as f64
         }
     }
 }
 
-/// A ready-to-run convolution layer: program + synthetic tensors.
+/// A ready-to-run layer: program + tensors.
 #[derive(Debug, Clone)]
-pub struct ConvTestbench {
+pub struct Testbench<K> {
     /// The kernel configuration.
-    pub cfg: ConvKernelConfig,
+    pub cfg: K,
     /// The L2 layout in use.
     pub layout: LayerLayout,
     /// The generated program (inspect `program.listing()` for the code).
     pub program: Program,
     input: QuantTensor,
-    weights: QuantTensor,
-    thresholds: Option<ThresholdSet>,
+    weights: Option<QuantTensor>,
     quantizer: Quantizer,
 }
 
-impl ConvTestbench {
-    /// Builds the kernel and deterministic synthetic tensors for `cfg`.
+/// A convolution layer's testbench.
+pub type ConvTestbench = Testbench<ConvKernelConfig>;
+
+impl<K: Kernel> Testbench<K> {
+    /// Builds the kernel and deterministic synthetic tensors for `cfg`,
+    /// drawn from `seed` in the order input, weights, thresholds.
     ///
     /// # Errors
     ///
     /// [`BuildError`] if the configuration is invalid or the generator
     /// emits un-assemblable code.
-    pub fn new(cfg: ConvKernelConfig, seed: u64) -> Result<ConvTestbench, BuildError> {
-        cfg.validate().map_err(BuildError::Config)?;
+    pub fn new(cfg: K, seed: u64) -> Result<Testbench<K>, BuildError> {
         let layout = LayerLayout::default_for_l2();
-        let program = build_conv_program(&cfg, &layout)?;
+        let program = cfg.build(&layout)?;
         let mut rng = TensorRng::new(seed);
-        let input = rng.activations(cfg.bits, cfg.shape.input_len());
-        let weights = rng.weights(cfg.bits, cfg.shape.weight_len());
-        let (thresholds, quantizer) = match cfg.quant {
-            QuantMode::Shift8 { shift } => (
-                None,
-                Quantizer::Shift8 {
-                    shift,
-                    bias: vec![],
-                },
-            ),
-            QuantMode::SoftwareTree | QuantMode::HardwareQnt => {
-                let t = rng.thresholds(cfg.out_bits, cfg.shape.out_c, -2000, 2000);
-                (Some(t.clone()), Quantizer::Thresholds(t))
-            }
-        };
-        Ok(ConvTestbench {
+        let (in_len, in_bits) = cfg.input();
+        let input = rng.activations(in_bits, in_len);
+        let weights = cfg.weights().map(|(len, bits)| rng.weights(bits, len));
+        let thresholds = cfg
+            .thresholds()
+            .map(|(bits, channels, b)| rng.thresholds(bits, channels, -b, b));
+        Ok(Testbench {
+            quantizer: quantizer(&cfg, thresholds),
             cfg,
             layout,
             program,
             input,
             weights,
-            thresholds,
-            quantizer,
         })
     }
 
@@ -143,59 +205,63 @@ impl ConvTestbench {
     ///
     /// [`BuildError`] for invalid configurations, and
     /// [`BuildError::Tensor`] if tensor lengths or widths do not match
-    /// the shape, or if a threshold set is missing/superfluous for the
-    /// quantization mode.
+    /// the configuration, or if a weight tensor or threshold set is
+    /// missing or superfluous.
     pub fn from_parts(
-        cfg: ConvKernelConfig,
+        cfg: K,
         input: QuantTensor,
-        weights: QuantTensor,
+        weights: Option<QuantTensor>,
         thresholds: Option<ThresholdSet>,
-    ) -> Result<ConvTestbench, BuildError> {
-        cfg.validate().map_err(BuildError::Config)?;
-        let tensor_err = |what| Err(BuildError::Tensor { what });
-        if input.len() != cfg.shape.input_len() {
-            return tensor_err("input length mismatch");
-        }
-        if weights.len() != cfg.shape.weight_len() {
-            return tensor_err("weight length mismatch");
-        }
-        if input.bits() != cfg.bits {
-            return tensor_err("input width mismatch");
-        }
-        if weights.bits() != cfg.bits {
-            return tensor_err("weight width mismatch");
-        }
+    ) -> Result<Testbench<K>, BuildError> {
         let layout = LayerLayout::default_for_l2();
-        let program = build_conv_program(&cfg, &layout)?;
-        let quantizer = match cfg.quant {
-            QuantMode::Shift8 { shift } => {
-                if thresholds.is_some() {
-                    return tensor_err("8-bit kernels take no thresholds");
+        let program = cfg.build(&layout)?;
+        check_input(&cfg, &input)?;
+        let tensor_err = |what| Err(BuildError::Tensor { what });
+        match (cfg.weights(), &weights) {
+            (None, None) => {}
+            (Some((len, bits)), Some(w)) => {
+                if w.len() != len {
+                    return tensor_err("weight length mismatch");
                 }
-                Quantizer::Shift8 {
-                    shift,
-                    bias: vec![],
+                if w.bits() != bits {
+                    return tensor_err("weight width mismatch");
                 }
             }
-            QuantMode::SoftwareTree | QuantMode::HardwareQnt => {
-                let Some(t) = thresholds.clone() else {
-                    return tensor_err("sub-byte kernels need thresholds");
-                };
-                if t.channels() != cfg.shape.out_c {
+            (None, Some(_)) => return tensor_err("kernel takes no weights"),
+            (Some(_), None) => return tensor_err("kernel needs weights"),
+        }
+        match (cfg.thresholds(), &thresholds) {
+            (None, None) => {}
+            (Some((bits, channels, _)), Some(t)) => {
+                if t.channels() != channels {
                     return tensor_err("threshold channel mismatch");
                 }
-                Quantizer::Thresholds(t)
+                if t.bits() != bits {
+                    return tensor_err("threshold width mismatch");
+                }
             }
-        };
-        Ok(ConvTestbench {
+            (None, Some(_)) => return tensor_err("kernel takes no thresholds"),
+            (Some(_), None) => return tensor_err("sub-byte kernels need thresholds"),
+        }
+        Ok(Testbench {
+            quantizer: quantizer(&cfg, thresholds),
             cfg,
             layout,
             program,
             input,
             weights,
-            thresholds,
-            quantizer,
         })
+    }
+
+    /// The same layer (program, weights, thresholds) fed `input`
+    /// instead of its own activations.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::Tensor`] if `input` has the wrong length or width.
+    pub fn with_input(self, input: QuantTensor) -> Result<Testbench<K>, BuildError> {
+        check_input(&self.cfg, &input)?;
+        Ok(Testbench { input, ..self })
     }
 
     /// The input tensor this testbench will load.
@@ -203,73 +269,81 @@ impl ConvTestbench {
         &self.input
     }
 
-    /// The packed input image, exactly as staged at `layout.input`.
-    pub fn packed_input(&self) -> Vec<u8> {
-        self.input.pack()
-    }
-
-    /// The packed weight image, exactly as staged at `layout.weights`.
-    pub fn packed_weights(&self) -> Vec<u8> {
-        self.weights.pack()
-    }
-
-    /// The threshold-tree memory image: `channels · stride` bytes with
-    /// channel `ch`'s Eytzinger heap at offset `ch · stride` — the same
-    /// bytes [`ConvTestbench::stage`] writes at `layout.thresholds`.
-    /// `None` for shift-quantized (8-bit) kernels.
-    pub fn threshold_image(&self) -> Option<Vec<u8>> {
-        let t = self.thresholds.as_ref()?;
-        let stride = tree_stride(crate::emit::simd_fmt(self.cfg.out_bits)) as usize;
-        let mut image = vec![0u8; t.channels() * stride];
-        for ch in 0..t.channels() {
-            let heap = eytzinger(t.channel(ch));
-            let bytes: Vec<u8> = heap.iter().flat_map(|v| v.to_le_bytes()).collect();
-            image[ch * stride..ch * stride + bytes.len()].copy_from_slice(&bytes);
+    /// The threshold sets the kernel re-quantizes with, if any.
+    pub fn thresholds(&self) -> Option<&ThresholdSet> {
+        match &self.quantizer {
+            Quantizer::Thresholds(t) => Some(t),
+            Quantizer::Shift8 { .. } => None,
         }
-        Some(image)
+    }
+
+    /// The tensors' L2 images as `(address, bytes)`: the input, the
+    /// packed weights, and the threshold trees (channel `ch`'s Eytzinger
+    /// heap at `layout.thresholds + ch · stride`).
+    pub fn tensor_images(&self) -> Vec<(u32, Vec<u8>)> {
+        let mut images = vec![(self.layout.input, self.cfg.input_image(self.input.values()))];
+        if let Some(w) = &self.weights {
+            images.push((self.layout.weights, w.pack()));
+        }
+        if let Some(t) = self.thresholds() {
+            let stride = tree_stride(simd_fmt(t.bits())) as usize;
+            let mut image = vec![0u8; t.channels() * stride];
+            for (ch, tree) in image.chunks_exact_mut(stride).enumerate() {
+                for (dst, v) in tree.chunks_exact_mut(2).zip(eytzinger(t.channel(ch))) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            images.push((self.layout.thresholds, image));
+        }
+        images
+    }
+
+    /// Writes `input`'s L2 image over a staged SoC's input region.
+    pub fn write_input(&self, soc: &mut Soc, input: &[i16]) {
+        soc.mem
+            .write_bytes(self.layout.input, &self.cfg.input_image(input));
+    }
+
+    /// Reads the output back through `read(address, len)` (an L2 view
+    /// of whichever machine ran the kernel) and unpacks it.
+    pub fn read_output<'m>(&self, read: impl FnOnce(u32, usize) -> &'m [u8]) -> Vec<i16> {
+        let (len, bits) = self.cfg.output();
+        let packed = read(self.layout.output, qnn::tensor::packed_len(bits, len));
+        qnn::tensor::unpack(bits, false, packed, len)
     }
 
     /// The core configuration this kernel requires.
     pub fn isa_config(&self) -> IsaConfig {
-        match self.cfg.isa {
+        match self.cfg.isa() {
             KernelIsa::XpulpV2 => IsaConfig::xpulpv2(),
             KernelIsa::XpulpNN => IsaConfig::xpulpnn(),
             KernelIsa::Vector { .. } => IsaConfig::vector(),
         }
     }
 
-    /// Loads program and data into a fresh SoC (carrying a vector unit
-    /// of the configured VLEN for the vector backend).
+    /// Loads program, tensors and tables into a fresh SoC (carrying a
+    /// vector unit of the configured VLEN for the vector backend).
     pub fn stage(&self) -> Soc {
-        let mut soc = match self.cfg.isa.vlen_bits() {
+        let mut soc = match self.cfg.isa().vlen_bits() {
             Some(vlen) => Soc::with_vlen(self.isa_config(), vlen),
             None => Soc::new(self.isa_config()),
         };
         soc.load(&self.program);
-        soc.mem.write_bytes(self.layout.input, &self.input.pack());
-        soc.mem
-            .write_bytes(self.layout.weights, &self.weights.pack());
-        let descs = im2col_descriptors(&self.cfg, self.layout.input);
-        soc.mem
-            .write_bytes(self.layout.descriptors, &encode_descriptors(&descs));
-        if let Some(t) = &self.thresholds {
-            let stride = tree_stride(crate::emit::simd_fmt(self.cfg.out_bits));
-            for ch in 0..t.channels() {
-                let heap = eytzinger(t.channel(ch));
-                let bytes: Vec<u8> = heap.iter().flat_map(|v| v.to_le_bytes()).collect();
-                soc.mem
-                    .write_bytes(self.layout.thresholds + ch as u32 * stride, &bytes);
-            }
+        for (addr, bytes) in self
+            .tensor_images()
+            .into_iter()
+            .chain(self.cfg.tables(&self.layout))
+        {
+            soc.mem.write_bytes(addr, &bytes);
         }
         soc
     }
 
-    /// The watchdog budget [`ConvTestbench::run`] uses: generous (every
-    /// variant runs well under 40 cycles/MAC), so exhausting it means a
-    /// runaway kernel, not a slow one. Public so external drivers (fault
-    /// injection, network recovery) apply the same contract.
+    /// The watchdog budget [`Testbench::run`] uses. Public so external
+    /// drivers (fault injection, network recovery) apply the same
+    /// contract.
     pub fn cycle_budget(&self) -> u64 {
-        10_000_000 + self.cfg.shape.macs() * 40
+        self.cfg.cycle_budget()
     }
 
     /// Runs the kernel to completion and verifies against the golden
@@ -278,56 +352,47 @@ impl ConvTestbench {
     /// Failures come with forensics: the simulation is deterministic, so
     /// on a trap or a golden-model mismatch the kernel is re-run with an
     /// execution tracer attached and the tail of the instruction stream
-    /// is reported — on stderr for a trap, in [`ConvRunResult::trace`]
-    /// for a mismatch. The first (hot) run itself is never traced.
+    /// is reported — on stderr for a trap, in [`RunResult::trace`] for a
+    /// mismatch. The first (hot) run itself is never traced.
     ///
     /// # Errors
     ///
     /// Propagates simulator traps (a trap always indicates a kernel or
     /// model bug).
-    pub fn run(&self) -> Result<ConvRunResult, Trap> {
-        let mut soc = self.stage();
-        let report = match soc.run(self.cycle_budget()) {
-            Ok(r) => r,
-            Err(trap) => {
-                eprintln!(
-                    "kernel {} trapped: {trap}\n{}",
-                    self.cfg.name(),
-                    self.trace_tail()
-                );
-                return Err(trap);
-            }
-        };
-        Ok(self.collect(&soc, report))
+    pub fn run(&self) -> Result<RunResult, Trap> {
+        self.run_staged(self.stage())
     }
 
-    /// Runs like [`ConvTestbench::run`] but with the core's
-    /// decoded-block fast path enabled (see [`riscv_core::fastpath`]).
-    /// Simulated results — output tensor, exit status, every cycle and
-    /// event counter — are bit-exact with [`ConvTestbench::run`]; only
-    /// host wall-clock differs.
+    /// Runs like [`Testbench::run`] but with the core's decoded-block
+    /// fast path enabled (see [`riscv_core::fastpath`]). Simulated
+    /// results — output tensor, exit status, every cycle and event
+    /// counter — are bit-exact with [`Testbench::run`]; only host
+    /// wall-clock differs.
     ///
     /// # Errors
     ///
-    /// Propagates simulator traps, like [`ConvTestbench::run`].
-    pub fn run_fastpath(&self) -> Result<ConvRunResult, Trap> {
+    /// Propagates simulator traps, like [`Testbench::run`].
+    pub fn run_fastpath(&self) -> Result<RunResult, Trap> {
         let mut soc = self.stage();
         soc.enable_fastpath();
-        let report = match soc.run(self.cycle_budget()) {
-            Ok(r) => r,
+        self.run_staged(soc)
+    }
+
+    fn run_staged(&self, mut soc: Soc) -> Result<RunResult, Trap> {
+        match soc.run(self.cycle_budget()) {
+            Ok(report) => Ok(self.collect(&soc, report)),
             Err(trap) => {
                 eprintln!(
                     "kernel {} trapped: {trap}\n{}",
                     self.cfg.name(),
                     self.trace_tail()
                 );
-                return Err(trap);
+                Err(trap)
             }
-        };
-        Ok(self.collect(&soc, report))
+        }
     }
 
-    /// Runs like [`ConvTestbench::run`] but with an execution tracer
+    /// Runs like [`Testbench::run`] but with an execution tracer
     /// attached for the whole run, returning the tracer alongside the
     /// verified result — the input to hotspot profiling.
     ///
@@ -338,7 +403,7 @@ impl ConvTestbench {
     pub fn run_profiled(
         &self,
         ring: usize,
-    ) -> Result<(ConvRunResult, Box<riscv_core::ExecTracer>), Trap> {
+    ) -> Result<(RunResult, Box<riscv_core::ExecTracer>), Trap> {
         let mut soc = self.stage();
         soc.core.attach_tracer(ring);
         let outcome = soc.run(self.cycle_budget());
@@ -359,42 +424,28 @@ impl ConvTestbench {
     /// The layer's golden output from the software model — what the
     /// device must produce, and what graceful degradation falls back to.
     pub fn golden(&self) -> Vec<i16> {
-        qnn::conv::conv2d_quantized(
-            &self.cfg.shape,
-            self.input.values(),
-            self.weights.values(),
-            &self.quantizer,
-        )
+        self.golden_for(self.input.values())
     }
 
     /// The golden output for a *caller-supplied* input under this
     /// testbench's weights and quantizer — what a serving worker must
     /// produce for a request carrying that input. The values must
-    /// already be range-valid for `cfg.bits` (the serving layer
+    /// already be range-valid for the input width (the serving layer
     /// validates at submit time).
     pub fn golden_for(&self, input: &[i16]) -> Vec<i16> {
-        qnn::conv::conv2d_quantized(
-            &self.cfg.shape,
-            input,
-            self.weights.values(),
-            &self.quantizer,
-        )
+        let weights = self.weights.as_ref().map_or(&[][..], QuantTensor::values);
+        self.cfg.golden(input, weights, &self.quantizer)
     }
 
     /// Unpacks the device output, runs the golden model, and flags a
     /// mismatch with a forensic re-run. Public so external drivers
-    /// (fault injection) can run a staged SoC themselves and still get
-    /// a verified result.
-    pub fn collect(&self, soc: &Soc, report: RunReport) -> ConvRunResult {
-        let out_len = self.cfg.shape.output_len();
-        let out_bytes = qnn::tensor::packed_len(self.cfg.out_bits, out_len);
-        let packed = soc.mem.read_bytes(self.layout.output, out_bytes);
-        let output = qnn::tensor::unpack(self.cfg.out_bits, false, packed, out_len);
-        let golden = self.golden();
-        let mut result = ConvRunResult {
+    /// (fault injection, network recovery) can run a staged SoC
+    /// themselves and still get a verified result.
+    pub fn collect(&self, soc: &Soc, report: RunReport) -> RunResult {
+        let mut result = RunResult {
             report,
-            output,
-            golden,
+            output: self.read_output(|addr, len| soc.mem.read_bytes(addr, len)),
+            golden: self.golden(),
             trace: None,
         };
         if !result.matches() {
@@ -421,6 +472,92 @@ impl ConvTestbench {
     }
 }
 
+fn check_input(cfg: &impl Kernel, input: &QuantTensor) -> Result<(), BuildError> {
+    let (len, bits) = cfg.input();
+    if input.len() != len {
+        return Err(BuildError::Tensor {
+            what: "input length mismatch",
+        });
+    }
+    if input.bits() != bits {
+        return Err(BuildError::Tensor {
+            what: "input width mismatch",
+        });
+    }
+    Ok(())
+}
+
+fn quantizer(cfg: &impl Kernel, thresholds: Option<ThresholdSet>) -> Quantizer {
+    thresholds.map_or(
+        Quantizer::Shift8 {
+            shift: cfg.shift(),
+            bias: vec![],
+        },
+        Quantizer::Thresholds,
+    )
+}
+
+impl Kernel for ConvKernelConfig {
+    fn name(&self) -> String {
+        ConvKernelConfig::name(self)
+    }
+
+    fn build(&self, layout: &LayerLayout) -> Result<Program, BuildError> {
+        build_conv_program(self, layout)
+    }
+
+    fn isa(&self) -> KernelIsa {
+        self.isa
+    }
+
+    /// Every variant runs well under 40 cycles/MAC.
+    fn cycle_budget(&self) -> u64 {
+        10_000_000 + self.shape.macs() * 40
+    }
+
+    fn macs(&self) -> u64 {
+        self.shape.macs()
+    }
+
+    fn input(&self) -> (usize, BitWidth) {
+        (self.shape.input_len(), self.bits)
+    }
+
+    fn weights(&self) -> Option<(usize, BitWidth)> {
+        Some((self.shape.weight_len(), self.bits))
+    }
+
+    fn output(&self) -> (usize, BitWidth) {
+        (self.shape.output_len(), self.out_bits)
+    }
+
+    fn thresholds(&self) -> Option<(BitWidth, usize, i16)> {
+        match self.quant {
+            QuantMode::Shift8 { .. } => None,
+            QuantMode::SoftwareTree | QuantMode::HardwareQnt => {
+                Some((self.out_bits, self.shape.out_c, 2000))
+            }
+        }
+    }
+
+    fn shift(&self) -> u32 {
+        match self.quant {
+            QuantMode::Shift8 { shift } => shift,
+            QuantMode::SoftwareTree | QuantMode::HardwareQnt => 0,
+        }
+    }
+
+    /// The im2col run descriptors at `layout.descriptors`.
+    fn tables(&self, layout: &LayerLayout) -> Vec<(u32, Vec<u8>)> {
+        let descs = im2col_descriptors(self, layout.input);
+        vec![(layout.descriptors, encode_descriptors(&descs))]
+    }
+
+    fn golden(&self, input: &[i16], weights: &[i16], quantizer: &Quantizer) -> Vec<i16> {
+        qnn::conv::conv2d_quantized(&self.shape, input, weights, quantizer)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,7 +581,7 @@ mod tests {
         }
     }
 
-    fn check(cfg: ConvKernelConfig, seed: u64) -> ConvRunResult {
+    fn check(cfg: ConvKernelConfig, seed: u64) -> RunResult {
         let tb = ConvTestbench::new(cfg, seed).unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
         let r = tb.run().unwrap_or_else(|e| panic!("{}: {e}", cfg.name()));
         assert!(r.report.exit.halted, "{} did not halt", cfg.name());

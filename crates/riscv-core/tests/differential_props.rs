@@ -25,24 +25,11 @@ fn any_reg(r: &mut Rng) -> Reg {
     ALL_REGS[r.below(32) as usize]
 }
 
-const ALU_OPS: [AluOp; 10] = [
-    AluOp::Add,
-    AluOp::Sub,
-    AluOp::Sll,
-    AluOp::Slt,
-    AluOp::Sltu,
-    AluOp::Xor,
-    AluOp::Srl,
-    AluOp::Sra,
-    AluOp::Or,
-    AluOp::And,
-];
-
 /// Straight-line ALU/immediate instructions (no control flow, no memory).
 fn any_straightline_instr(r: &mut Rng) -> Instr {
     match r.below(5) {
         0 => Instr::Alu {
-            op: *r.choose(&ALU_OPS),
+            op: *r.choose(&AluOp::ALL),
             rd: any_reg(r),
             rs1: any_reg(r),
             rs2: any_reg(r),

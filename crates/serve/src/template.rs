@@ -261,8 +261,7 @@ impl WorkerTemplate {
     /// cache needs no invalidation — the `[code_lo, code_hi)` store
     /// filter and the staleness pinning tests cover the code case.
     pub fn stage_input(&self, soc: &mut Soc, input: &[i16]) {
-        let packed = qnn::tensor::pack(self.tb.cfg.bits, input);
-        soc.mem.write_bytes(self.tb.layout.input, &packed);
+        self.tb.write_input(soc, input);
     }
 
     /// Points a warm machine back at the kernel entry with a fresh
@@ -285,17 +284,15 @@ impl WorkerTemplate {
 
     /// Unpacks the device output region.
     pub fn collect_output(&self, soc: &Soc) -> Vec<i16> {
-        let out_len = self.output_len();
-        let out_bytes = qnn::tensor::packed_len(self.tb.cfg.out_bits, out_len);
-        let packed = soc.mem.read_bytes(self.tb.layout.output, out_bytes);
-        qnn::tensor::unpack(self.tb.cfg.out_bits, false, packed, out_len)
+        self.tb
+            .read_output(|addr, len| soc.mem.read_bytes(addr, len))
     }
 
     /// The fault-target space for chaos mode: this layer's tensors,
     /// threshold trees and the register file, with the injection
     /// window bounded by the clean runtime.
     pub fn target_space(&self) -> TargetSpace {
-        TargetSpace::conv_layer(&self.tb.cfg, &self.tb.layout, self.clean_cycles)
+        TargetSpace::layer(&self.tb, &self.tb.layout, self.clean_cycles)
     }
 
     /// A one-flip fault plan for chaos mode, deterministic in `seed`.

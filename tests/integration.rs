@@ -189,7 +189,7 @@ fn two_layer_chain_verified() {
     let input2 = QuantTensor::activations(bits, r1.output.clone()).unwrap();
     let weights2 = rng.weights(bits, l2.weight_len());
     let thr2 = rng.thresholds(bits, l2.out_c, -1000, 1000);
-    let tb2 = ConvTestbench::from_parts(cfg2, input2, weights2, Some(thr2)).unwrap();
+    let tb2 = ConvTestbench::from_parts(cfg2, input2, Some(weights2), Some(thr2)).unwrap();
     let r2 = tb2.run().unwrap();
     assert!(r2.matches(), "second layer diverged");
 }

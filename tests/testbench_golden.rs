@@ -23,10 +23,10 @@ use std::path::PathBuf;
 use xpulpnn::lint::shipped_kernels;
 use xpulpnn::network::{Layer, Network};
 use xpulpnn::pulp_cluster::ClusterConvTestbench;
-use xpulpnn::pulp_kernels::depthwise::{DepthwiseKernelConfig, DepthwiseTestbench};
-use xpulpnn::pulp_kernels::linear::{LinearKernelConfig, LinearTestbench};
-use xpulpnn::pulp_kernels::pool::{build_relu_program, PoolKernelConfig, PoolOp, PoolTestbench};
-use xpulpnn::pulp_kernels::LayerLayout;
+use xpulpnn::pulp_kernels::depthwise::DepthwiseKernelConfig;
+use xpulpnn::pulp_kernels::linear::LinearKernelConfig;
+use xpulpnn::pulp_kernels::pool::{build_relu_program, PoolKernelConfig, PoolOp};
+use xpulpnn::pulp_kernels::{Kernel, LayerLayout, Testbench};
 use xpulpnn::pulp_soc::Soc;
 use xpulpnn::qnn::conv::ConvShape;
 use xpulpnn::qnn::depthwise::DepthwiseShape;
@@ -34,7 +34,7 @@ use xpulpnn::qnn::linear::LinearShape;
 use xpulpnn::qnn::pool::PoolShape;
 use xpulpnn::qnn::rng::TensorRng;
 use xpulpnn::riscv_core::IsaConfig;
-use xpulpnn::{BitWidth, ConvKernelConfig, ConvTestbench, KernelIsa, QuantMode};
+use xpulpnn::{BitWidth, ConvKernelConfig, KernelIsa, QuantMode};
 
 const BLESS_ENV: &str = "XPULPNN_BLESS";
 const SEED: u64 = 42;
@@ -54,14 +54,24 @@ fn digest(values: &[i16]) -> u64 {
 
 /// One pinned line per kernel: name, staged-SoC checksum, cycles and
 /// output digest.
-fn line(out: &mut String, name: &str, staged: &Soc, cycles: u64, output: &[i16]) {
-    let staged = staged.snapshot().checksum();
+fn line(out: &mut String, name: &str, staged: u64, cycles: u64, output: &[i16]) {
     writeln!(
         out,
         "{name} staged={staged:016x} cycles={cycles} output={:016x}",
         digest(output)
     )
     .unwrap();
+}
+
+/// Pins one kernel's testbench at [`SEED`]; returns its name.
+fn kernel<K: Kernel>(out: &mut String, cfg: K, prefix: &str) -> String {
+    let name = format!("{prefix}{}", cfg.name());
+    let tb = Testbench::new(cfg, SEED).unwrap();
+    let r = tb.run_fastpath().unwrap();
+    assert!(r.matches(), "{name}");
+    let staged = tb.stage().snapshot().checksum();
+    line(out, &name, staged, r.cycles(), &r.output);
+    name
 }
 
 fn conv_variants() -> Vec<ConvKernelConfig> {
@@ -116,16 +126,10 @@ fn linear_config(bits: BitWidth, quant: QuantMode) -> LinearKernelConfig {
 /// The single-core kernels, in `shipped_kernels()` order, then the
 /// scalar pooling baseline. Returns the shipped kernels' names.
 fn single_core(out: &mut String) -> Vec<String> {
-    let mut names = Vec::new();
-    for cfg in conv_variants() {
-        let tb = ConvTestbench::new(cfg, SEED).unwrap();
-        let r = tb.run_fastpath().unwrap();
-        assert!(r.matches(), "{}", cfg.name());
-        let name = format!("conv/{}", cfg.name());
-        line(out, &name, &tb.stage(), r.cycles(), &r.output);
-        names.push(name);
-    }
-
+    let mut names: Vec<String> = conv_variants()
+        .into_iter()
+        .map(|cfg| kernel(out, cfg, "conv/"))
+        .collect();
     let dw = DepthwiseKernelConfig {
         shape: DepthwiseShape {
             in_h: 8,
@@ -137,25 +141,17 @@ fn single_core(out: &mut String) -> Vec<String> {
         },
         shift: 7,
     };
-    let tb = DepthwiseTestbench::new(dw, SEED).unwrap();
-    let input = TensorRng::new(SEED).activations(BitWidth::W8, dw.shape.input_len());
-    let r = tb.run().unwrap();
-    assert!(r.matches());
-    let staged = tb.stage_with_input(input.values()).unwrap();
-    line(out, &dw.name(), &staged, r.cycles(), &r.output);
-    names.push(dw.name());
-
-    let pool = |out: &mut String, cfg: PoolKernelConfig| {
-        let tb = PoolTestbench::new(cfg, SEED).unwrap();
-        let input = TensorRng::new(SEED).activations(cfg.bits, cfg.shape.input_len());
-        let r = tb.run().unwrap();
-        assert!(r.matches(), "{}", cfg.name());
-        let staged = tb.stage_with_input(input.values()).unwrap();
-        line(out, &cfg.name(), &staged, r.cycles(), &r.output);
-        cfg.name()
-    };
-    names.push(pool(out, pool_config(BitWidth::W4, PoolOp::Max, true)));
-    names.push(pool(out, pool_config(BitWidth::W8, PoolOp::Avg2x2, true)));
+    names.push(kernel(out, dw, ""));
+    names.push(kernel(
+        out,
+        pool_config(BitWidth::W4, PoolOp::Max, true),
+        "",
+    ));
+    names.push(kernel(
+        out,
+        pool_config(BitWidth::W8, PoolOp::Avg2x2, true),
+        "",
+    ));
 
     // ReLU: 64 signed bytes through the `pv.max.sci.b` kernel.
     let len = 64;
@@ -167,21 +163,11 @@ fn single_core(out: &mut String) -> Vec<String> {
     soc.mem.write_bytes(layout.input, &input.pack());
     let staged = soc.snapshot().checksum();
     let report = soc.run(10_000_000).unwrap();
-    let output: Vec<i16> = soc
-        .mem
-        .read_bytes(layout.output, len)
-        .iter()
-        .map(|&b| b as i8 as i16)
-        .collect();
+    let packed = soc.mem.read_bytes(layout.output, len);
+    let output = xpulpnn::qnn::tensor::unpack(BitWidth::W8, true, packed, len);
     assert_eq!(output, xpulpnn::qnn::pool::relu(input.values()));
     let name = format!("relu/{len}");
-    writeln!(
-        out,
-        "{name} staged={staged:016x} cycles={} output={:016x}",
-        report.perf.cycles,
-        digest(&output)
-    )
-    .unwrap();
+    line(out, &name, staged, report.perf.cycles, &output);
     names.push(name);
 
     for (bits, quant) in [
@@ -189,18 +175,11 @@ fn single_core(out: &mut String) -> Vec<String> {
         (BitWidth::W4, QuantMode::HardwareQnt),
         (BitWidth::W2, QuantMode::HardwareQnt),
     ] {
-        let cfg = linear_config(bits, quant);
-        let tb = LinearTestbench::new(cfg, SEED).unwrap();
-        let input = TensorRng::new(SEED).activations(bits, cfg.shape.in_features);
-        let r = tb.run().unwrap();
-        assert!(r.matches(), "{}", cfg.name());
-        let staged = tb.stage_with_input(input.values()).unwrap();
-        line(out, &cfg.name(), &staged, r.cycles(), &r.output);
-        names.push(cfg.name());
+        names.push(kernel(out, linear_config(bits, quant), ""));
     }
 
     // The scalar baseline is not a shipped (linted) kernel.
-    let scalar = pool(out, pool_config(BitWidth::W8, PoolOp::Max, false));
+    let scalar = kernel(out, pool_config(BitWidth::W8, PoolOp::Max, false), "");
     assert!(!names.contains(&scalar));
     names
 }
